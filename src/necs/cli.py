@@ -7,8 +7,8 @@ battery that re-derives the shipped golden tables.
 
 Exit codes: 0 success, 2 usage error.  `recognize` additionally uses 3
 for an exact cover that is not natural and 4 for input that is not an
-exact cover; `check` uses 4 the same way.  Semantic codes are results,
-not failures.
+exact cover; `check` uses 4 the same way; `enumerate --ecs` uses 5 when
+its --budget runs out.  Semantic codes are results, not failures.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ def _enumerate_flats(args) -> list:
 
 
 def _emit_enumerate(args) -> int:
+    if args.gcd is not None and not 1 <= args.gcd <= args.size:
+        print(f"--gcd must be between 1 and --size ({args.size}), got {args.gcd}", file=sys.stderr)
+        return 2
     if args.ecs:
         cfg = en.EcsSearchConfig(
             max_modulus=args.max_modulus, budget_seconds=args.budget, gcd=args.gcd

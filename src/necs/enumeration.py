@@ -16,10 +16,12 @@ modulus factor), and consistent with the residue strata mod each prime:
 the terms p/n over p-divisible moduli must split into p equal groups,
 and the classes of any divisibility-maximal modulus form a vanishing
 root-of-unity sum, so their multiplicity is a combination of its prime
-factors.  Phase two assigns offsets by always branching on the class
-that covers the smallest uncovered integer, which visits every solution
-along exactly one path.  Disjoint classes of total density one always
-cover, so no separate covering check is needed.
+factors.  Phase two solves, for each multiset with lcm L, an exact cover
+with multiplicities: the points of Z/L are the items, the classes a mod n
+the options, and each modulus is used as often as the multiset holds it.
+It branches on the uncovered point with the fewest classes that can
+still cover it, so dead points end a branch and forced points cost no
+branching, and every solution is visited along exactly one path.
 
 Internally systems travel as flat sorted tuples of (modulus, offset)
 pairs; CoveringSystem objects are built only at the public boundary.
@@ -500,76 +502,77 @@ def _maximal_multiplicities_ok(moduli: list[int]) -> bool:
 def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
     """All exact covers with the given modulus multiset, each exactly once.
 
-    The class covering the smallest yet-uncovered integer x is unique in
-    any exact cover, so branching over the distinct remaining modulus
-    values (offset forced to x mod n) visits every solution along exactly
-    one path.  Disjointness (offsets distinct mod pairwise modulus gcds)
-    plus the exact total density guarantee coverage at the end.
+    An exact cover with multiplicities on Z/L, L the lcm of the moduli:
+    the items are the points of Z/L, the options are the classes a mod n,
+    and each modulus n is used exactly as often as it occurs in the
+    multiset.  Every node branches over the live options of the uncovered
+    point that has the fewest (minimum remaining values); an option is
+    live when all L/n points of its class are still uncovered.  A point
+    with no live option ends the branch and a point with one forces it.
+    Each point lies in exactly one class of an exact cover, so distinct
+    branches lead to distinct solutions and every solution is reached
+    once.  The uncovered points are the bits of a Python int; since the
+    densities sum to one, they run out exactly when the moduli do.
     """
     counts: dict[int, int] = {}
     for n in moduli:
         counts[n] = counts.get(n, 0) + 1
     values = sorted(counts)
+    period = 1
+    for n in values:
+        period = period * n // gcd(period, n)
+    # the class 0 mod n on Z/L: bits 0, n, 2n, ... (a geometric series)
+    comb = {n: ((1 << period) - 1) // ((1 << n) - 1) for n in values}
     chosen: list[tuple[int, int]] = []
 
-    def smallest_uncovered(start: int) -> int:
-        x = start
-        while True:
-            if all((x - a) % n != 0 for n, a in chosen):
-                return x
-            x += 1
+    def live_offsets(free: int, n: int) -> int:
+        """Bit a (a < n) set iff every point of a mod n is in free."""
+        q = period // n
+        span = 1  # bit a of free now ANDs the points a + i*n, i < span
+        while 2 * span <= q:
+            free &= free >> (span * n)
+            span *= 2
+        # two overlapping windows of span terms cover all q of them
+        return free & (free >> ((q - span) * n)) & ((1 << n) - 1)
 
-    def rec(remaining: int, x_from: int) -> Iterator[Flat]:
+    def rec(free: int) -> Iterator[Flat]:
         tick()
-        if remaining == 0:
+        if not free:
             yield tuple(sorted(chosen))
             return
-        x = smallest_uncovered(x_from)
-        for n in values:
-            if counts[n] == 0:
-                continue
+        live = {n: live_offsets(free, n) for n in values if counts[n]}
+        # at_least[c]: the uncovered points with at least c live options
+        at_least = [free] + [0] * len(live)
+        for n, offsets in live.items():
+            tiled = offsets * comb[n]  # the live classes of n, as points
+            for c in range(len(live), 0, -1):
+                at_least[c] |= at_least[c - 1] & tiled
+        at_least.append(0)
+        for c in range(len(live) + 1):
+            fewest = at_least[c] & ~at_least[c + 1]
+            if fewest:
+                break
+        if c == 0:
+            return
+        x = (fewest & -fewest).bit_length() - 1
+        for n, offsets in live.items():
             a = x % n
-            if any((a - aj) % gcd(n, nj) == 0 for nj, aj in chosen):
+            if not offsets >> a & 1:
                 continue
             counts[n] -= 1
             chosen.append((n, a))
-            yield from rec(remaining - 1, x + 1)
+            yield from rec(free & ~(comb[n] << a))
             chosen.pop()
             counts[n] += 1
 
-    yield from rec(len(moduli), 0)
+    yield from rec((1 << period) - 1)
 
 
-def enumerate_ecs(
-    k: int, config: EcsSearchConfig | None = None, *, ordered: bool = True
-) -> Iterator[CoveringSystem]:
-    """Every exact covering system of size k, exactly once.
-
-    Two phases: enumerate the feasible modulus multisets (nondecreasing,
-    exact density budget, per-step bounds ceil(1/r) <= n <= floor(c/r)),
-    then assign offsets within each multiset by always branching on the
-    class that covers the smallest uncovered integer.  With ordered=True
-    the stream is materialized and emitted in canonical lexicographic
-    order; ordered=False streams multiset by multiset with O(k) memory.
-    May raise SearchBudgetExceeded when a time budget is configured.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    cfg = config or EcsSearchConfig()
+def _ecs_multisets(k: int, cfg: EcsSearchConfig) -> Iterator[tuple[int, ...]]:
+    """Phase one: the candidate modulus multisets of size k within the
+    config's modulus bound whose gcd is the requested one (if any)."""
     want_gcd = cfg.gcd
-    if want_gcd is not None and (want_gcd < 1 or want_gcd > k):
-        return
     max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
-    deadline = None
-    if cfg.budget_seconds is not None:
-        deadline = time.monotonic() + cfg.budget_seconds
-    ticks = 0
-
-    def tick():
-        nonlocal ticks
-        ticks += 1
-        if deadline is not None and ticks % 1024 == 0 and time.monotonic() > deadline:
-            raise SearchBudgetExceeded(f"search for k={k} exceeded {cfg.budget_seconds}s")
 
     def admissible(n: int) -> bool:
         # a prime-power modulus puts its prime into every other modulus
@@ -580,15 +583,57 @@ def enumerate_ecs(
             return False
         return True
 
+    for moduli in _modulus_multisets(k, max_mod, admissible):
+        if want_gcd is not None:
+            g = 0
+            for n in moduli:
+                g = gcd(g, n)
+            if g != want_gcd:  # the system gcd is the gcd of its moduli
+                continue
+        yield moduli
+
+
+def enumerate_ecs(
+    k: int, config: EcsSearchConfig | None = None, *, ordered: bool = True
+) -> Iterator[CoveringSystem]:
+    """Every exact covering system of size k, exactly once.
+
+    Two phases: enumerate the feasible modulus multisets (nondecreasing,
+    exact density budget, per-step bounds ceil(1/r) <= n <= floor(c/r)),
+    then, within each multiset, solve the exact cover of Z/lcm by its
+    residue classes, branching on the point with the fewest classes that
+    can still cover it.  With ordered=True the stream is materialized and
+    emitted in canonical lexicographic order; ordered=False streams
+    multiset by multiset with O(k) memory.  May raise SearchBudgetExceeded
+    when a time budget is configured; its message gives the search nodes
+    visited and the solutions found by then.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    cfg = config or EcsSearchConfig()
+    if cfg.gcd is not None and (cfg.gcd < 1 or cfg.gcd > k):
+        return
+    deadline = None
+    if cfg.budget_seconds is not None:
+        deadline = time.monotonic() + cfg.budget_seconds
+    nodes = 0
+    found = 0
+
+    def tick():
+        nonlocal nodes
+        nodes += 1
+        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
+            raise SearchBudgetExceeded(
+                f"search for k={k} exceeded {cfg.budget_seconds}s after "
+                f"{nodes} nodes and {found} solutions"
+            )
+
     def stream() -> Iterator[Flat]:
-        for moduli in _modulus_multisets(k, max_mod, admissible):
-            if want_gcd is not None:
-                g = 0
-                for n in moduli:
-                    g = gcd(g, n)
-                if g != want_gcd:  # the system gcd is the gcd of its moduli
-                    continue
-            yield from _assign_offsets(moduli, tick)
+        nonlocal found
+        for moduli in _ecs_multisets(k, cfg):
+            for flat in _assign_offsets(moduli, tick):
+                found += 1
+                yield flat
 
     flats: Iterable[Flat] = stream()
     if ordered:

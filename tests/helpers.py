@@ -1,6 +1,7 @@
 """Shared fixtures: published table values and reference systems."""
 
 import os
+from math import gcd
 
 import pytest
 
@@ -93,3 +94,47 @@ def brute_force_exact(pairs, window=None) -> bool:
         if hits != 1:
             return False
     return True
+
+
+def assign_offsets_smallest_uncovered(moduli, tick=lambda: None):
+    """Reference phase two of the exact-cover search: all exact covers with
+    the given modulus multiset, as sorted ((modulus, offset), ...) tuples.
+
+    The class covering the smallest yet-uncovered integer x is unique in
+    any exact cover, so branching over the distinct remaining modulus
+    values (offset forced to x mod n) visits every solution along exactly
+    one path.  Disjointness (offsets distinct mod pairwise modulus gcds)
+    plus the exact total density guarantee coverage at the end.
+    """
+    counts = {}
+    for n in moduli:
+        counts[n] = counts.get(n, 0) + 1
+    values = sorted(counts)
+    chosen = []
+
+    def smallest_uncovered(start):
+        x = start
+        while True:
+            if all((x - a) % n != 0 for n, a in chosen):
+                return x
+            x += 1
+
+    def rec(remaining, x_from):
+        tick()
+        if remaining == 0:
+            yield tuple(sorted(chosen))
+            return
+        x = smallest_uncovered(x_from)
+        for n in values:
+            if counts[n] == 0:
+                continue
+            a = x % n
+            if any((a - aj) % gcd(n, nj) == 0 for nj, aj in chosen):
+                continue
+            counts[n] -= 1
+            chosen.append((n, a))
+            yield from rec(remaining - 1, x + 1)
+            chosen.pop()
+            counts[n] += 1
+
+    yield from rec(len(moduli), 0)

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 
 from necs import cli
 
@@ -99,6 +100,26 @@ class TestEnumerateCommand:
     def test_ecs_budget_abort(self, capsys):
         code = cli.run(["enumerate", "--size", "9", "--ecs", "--budget", "0", "--format", "count-only"])
         assert code == 5
+        err = capsys.readouterr().err
+        assert "after 1024 nodes and" in err and "solutions" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--gcd", "9"],
+            ["--gcd", "9", "--ecs"],
+            ["--gcd", "9", "--format", "count-only"],
+            ["--gcd", "0"],
+            ["--gcd", "-1", "--canonical", "shift"],
+        ],
+    )
+    def test_gcd_out_of_range(self, capsys, extra):
+        code = cli.run(["enumerate", "--size", "5", *extra])
+        out = capsys.readouterr()
+        assert code == 2
+        assert out.out == ""
+        assert out.err.startswith("--gcd must be between 1 and --size (5)")
+        assert out.err.count("\n") == 1
 
 
 class TestRecognizeAndCheck:

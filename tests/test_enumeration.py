@@ -10,7 +10,15 @@ from necs import counting as ct
 from necs import enumeration as en
 from necs import trees as tr
 
-from helpers import A_COUNTS, SHIFT_CLASS_COUNTS, TABLE1, brute_force_exact, slow, sys_of
+from helpers import (
+    A_COUNTS,
+    SHIFT_CLASS_COUNTS,
+    TABLE1,
+    assign_offsets_smallest_uncovered,
+    brute_force_exact,
+    slow,
+    sys_of,
+)
 
 
 class TestNecsEnumeration:
@@ -117,14 +125,20 @@ class TestEcsSearch:
         assert len(got) == 6  # the ten size-4 systems minus the four with lcm 8
 
     def test_budget_zero_aborts(self):
-        with pytest.raises(en.SearchBudgetExceeded):
-            list(en.enumerate_ecs(8, en.EcsSearchConfig(budget_seconds=0.0), ordered=False))
+        # the deadline is checked every 1024 nodes, so a zero budget stops
+        # at the 1024th node; k = 8 has found solutions by then, and the
+        # message reports both counters
+        found = 0
+        with pytest.raises(en.SearchBudgetExceeded) as info:
+            for _ in en.enumerate_ecs(8, en.EcsSearchConfig(budget_seconds=0.0), ordered=False):
+                found += 1
+        assert found > 0
+        assert f"after 1024 nodes and {found} solutions" in str(info.value)
 
     def test_trivial_cases(self):
         assert list(en.enumerate_ecs(1)) == [cg.TRIVIAL]
         assert list(en.enumerate_ecs(2)) == [sys_of([(0, 2), (1, 2)])]
 
-    @slow
     def test_sizes7and8_match_natural(self):
         for k in (7, 8):
             assert set(en.enumerate_ecs(k, ordered=False)) == set(
@@ -139,6 +153,30 @@ class TestEcsSearch:
             assert cg.gcd_of(s) == 1
             assert cg.is_exact(s)
             assert not cg.is_natural(s)
+
+
+def _phase_two_matches_oracle(k, config):
+    """Compare phase two with the smallest-uncovered reference search,
+    multiset by multiset, on the exact set of solutions."""
+    total = 0
+    for moduli in en._ecs_multisets(k, config):
+        got = list(en._assign_offsets(moduli, lambda: None))
+        assert len(got) == len(set(got)), moduli
+        assert set(got) == set(assign_offsets_smallest_uncovered(moduli)), moduli
+        total += len(got)
+    return total
+
+
+class TestPhaseTwoOracle:
+    def test_every_size_up_to_7(self):
+        for k in range(1, 8):
+            assert _phase_two_matches_oracle(k, en.EcsSearchConfig()) == A_COUNTS[k]
+
+    @slow
+    def test_sizes_8_9_and_13_gcd_one(self):
+        assert _phase_two_matches_oracle(8, en.EcsSearchConfig()) == A_COUNTS[8]
+        assert _phase_two_matches_oracle(9, en.EcsSearchConfig()) == A_COUNTS[9]
+        assert _phase_two_matches_oracle(13, en.EcsSearchConfig(gcd=1)) == 30
 
 
 class TestHelpers:
