@@ -77,30 +77,16 @@ def _emit_count(args) -> int:
         if table.overflowed:
             print("# some counts exceeded --lcm-max and were bucketed", file=sys.stderr)
         return 0
-    table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
+    try:
+        table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
+    except (ValueError, OSError) as exc:
+        print(f"count: {exc}", file=sys.stderr)
+        return 2
     if args.format == "csv":
         print("k,m,count")
     for k, m, v in table.rows():
         print(f"{k},{m},{v}" if args.format == "csv" else f"a({k},{m}) = {v}")
     return 0
-
-
-def _enumerate_worker(job) -> list:
-    k, m = job
-    return sorted(en._necs_stream(k, m))
-
-
-def _enumerate_flats(args) -> list:
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        gcds = [args.gcd] if args.gcd else list(range(1, args.size + 1))
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            shards = pool.map(_enumerate_worker, [(args.size, m) for m in gcds])
-            flats = [f for shard in shards for f in shard]
-        flats.sort()
-        return flats
-    return sorted(en._necs_stream(args.size, args.gcd))
 
 
 def _emit_enumerate(args) -> int:
@@ -116,11 +102,8 @@ def _emit_enumerate(args) -> int:
         systems = en.enumerate_shift_classes(args.size)
         if args.gcd:
             systems = (s for s in systems if cg.gcd_of(s) == args.gcd)
-    elif args.format == "count-only" and args.workers <= 1:
-        systems = en.enumerate_necs(args.size, args.gcd, ordered=False)
     else:
-        flats = _enumerate_flats(args)
-        systems = (cg.CoveringSystem(cg.ResidueClass(n, a) for n, a in f) for f in flats)
+        systems = en.enumerate_necs(args.size, args.gcd, ordered=args.format != "count-only")
     try:
         if args.format == "count-only":
             print(sum(1 for _ in systems))
@@ -342,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--ecs", action="store_true", help="search all exact covers, not just natural ones")
     ep.add_argument("--budget", type=float, default=None, help="seconds before the search aborts")
     ep.add_argument("--max-modulus", type=int, default=None)
-    ep.add_argument("--workers", type=int, default=1)
     ep.set_defaults(func=_emit_enumerate)
 
     rp = sub.add_parser("recognize", help="is the input a natural exact covering system?")

@@ -28,6 +28,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
+from .series import prime_factors
+
 
 class NotExactCoverError(ValueError):
     """Raised where an operation is only meaningful for exact covers."""
@@ -224,17 +226,6 @@ def reassemble(pieces: Sequence[CoveringSystem], n: int | None = None) -> Coveri
 TRIVIAL = CoveringSystem([ResidueClass(1, 0)])
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
 def is_natural(c: CoveringSystem) -> bool:
     """True iff c is reachable from {<0,1>} by a sequence of splits.
 
@@ -242,19 +233,7 @@ def is_natural(c: CoveringSystem) -> bool:
     nontrivial natural system has gcd > 1, and with p the smallest prime
     dividing the gcd, it is natural iff all p contraction pieces are.
     """
-    if not is_exact(c):
-        raise NotExactCoverError("input does not partition the integers")
-    return _is_natural_exact(c)
-
-
-def _is_natural_exact(c: CoveringSystem) -> bool:
-    if len(c.classes) == 1:
-        return True  # the only exact singleton is {<0,1>}
-    g = gcd_of(c)
-    if g == 1:
-        return False
-    p = _smallest_prime_factor(g)
-    return all(_is_natural_exact(piece) for piece in contract(c, p))
+    return naturality_witness(c) is not None
 
 
 def naturality_witness(c: CoveringSystem):
@@ -262,29 +241,36 @@ def naturality_witness(c: CoveringSystem):
 
     The witness is a Tree (see necs.trees) whose leaf labels reproduce c:
     internal nodes record the contraction modulus chosen at each level.
-    Raises NotExactCoverError on non-exact input.
+    Raises NotExactCoverError on non-exact input.  Iterative, so systems
+    of any depth are recognized: contraction pieces wait on a stack until
+    visited, and the tree is assembled from the arities in visiting order.
     """
     from . import trees  # local import; trees depends on this module
 
     if not is_exact(c):
         raise NotExactCoverError("input does not partition the integers")
-
-    def build(sys_: CoveringSystem):
-        if len(sys_.classes) == 1:
-            return trees.LEAF
-        g = gcd_of(sys_)
+    arities = []  # preorder: 0 for a leaf, else the contraction modulus
+    todo = [c]
+    while todo:
+        piece = todo.pop()
+        if len(piece.classes) == 1:
+            arities.append(0)  # the only exact singleton is {<0,1>}
+            continue
+        g = gcd_of(piece)
         if g == 1:
             return None
-        p = _smallest_prime_factor(g)
-        kids = []
-        for piece in contract(sys_, p):
-            sub = build(piece)
-            if sub is None:
-                return None
-            kids.append(sub)
-        return trees.Tree(tuple(kids))
-
-    return build(c)
+        p = prime_factors(g)[0]
+        arities.append(p)
+        todo.extend(reversed(contract(piece, p)))
+    built: list = []  # finished subtrees; the first child on top
+    for p in reversed(arities):
+        if p == 0:
+            built.append(trees.LEAF)
+        else:
+            kids = tuple(reversed(built[-p:]))
+            del built[-p:]
+            built.append(trees.Tree(kids))
+    return built[0]
 
 
 def shift(c: CoveringSystem, t: int) -> CoveringSystem:
@@ -294,11 +280,12 @@ def shift(c: CoveringSystem, t: int) -> CoveringSystem:
     )
 
 
-def canonical_shift(c: CoveringSystem) -> tuple[CoveringSystem, int]:
-    """Lexicographically least translate of c, with the least witnessing t.
+def least_translate(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Lexicographically least translate of an exact system given as
+    (modulus, offset) pairs: the translated pairs in sorted order, and the
+    least t >= 0 that gives them.
 
-    Assumes c is exact (translates of an exact system stay exact), and only
-    t in [0, lcm) matter.  Since canonical order sorts classes by modulus
+    Only t in [0, lcm) matter.  Since the sorted pairs order by modulus
     first, the least translate is found by refining candidate t values one
     modulus group at a time, in increasing modulus order: candidates are
     kept as residues mod the lcm of the processed moduli and only those
@@ -307,37 +294,34 @@ def canonical_shift(c: CoveringSystem) -> tuple[CoveringSystem, int]:
     offset 0.  Equivalent to (and tested against) the full scan over
     [0, lcm), but touches far fewer translates.
     """
+    pairs = tuple(pairs)
     groups: dict[int, list[int]] = {}
-    for cl in c.classes:
-        groups.setdefault(cl.modulus, []).append(cl.offset)
-
+    for n, a in pairs:
+        groups.setdefault(n, []).append(a)
     period = 1
     cands = [0]
     for n in sorted(groups):
         offs = groups[n]
         new_period = period * n // gcd(period, n)
-        lifted = [t + j * period for t in cands for j in range(new_period // period)]
         best_key = None
         survivors: list[int] = []
-        for t in lifted:
-            key = tuple(sorted((o + t) % n for o in offs))
-            if best_key is None or key < best_key:
-                best_key, survivors = key, [t]
-            elif key == best_key:
-                survivors.append(t)
+        for t0 in cands:
+            for t in range(t0, new_period, period):
+                key = tuple(sorted((o + t) % n for o in offs))
+                if best_key is None or key < best_key:
+                    best_key, survivors = key, [t]
+                elif key == best_key:
+                    survivors.append(t)
         period, cands = new_period, survivors
     t = min(cands)
-    return shift(c, t), t
+    return tuple(sorted((n, (a + t) % n) for n, a in pairs)), t
 
 
-def _canonical_shift_scan(c: CoveringSystem) -> tuple[CoveringSystem, int]:
-    """Reference implementation: full scan of every translate in [0, lcm)."""
-    best, best_t = c, 0
-    for t in range(1, lcm_of(c)):
-        cand = shift(c, t)
-        if cand.key() < best.key():
-            best, best_t = cand, t
-    return best, best_t
+def canonical_shift(c: CoveringSystem) -> tuple[CoveringSystem, int]:
+    """Lexicographically least translate of c, with the least witnessing t
+    (see least_translate; c is assumed exact)."""
+    pairs, t = least_translate((cl.modulus, cl.offset) for cl in c.classes)
+    return CoveringSystem(ResidueClass(n, a) for n, a in pairs), t
 
 
 # --- text and JSON formats --------------------------------------------------

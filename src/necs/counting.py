@@ -3,39 +3,43 @@
 Let a(k, m) be the number of natural exact covering systems with k
 classes and gcd m.  Contracting by the full gcd puts the systems with
 gcd exactly n >= 2 in bijection with n-tuples of systems whose sizes sum
-to k and whose gcds are globally coprime, which gives the recurrence
-
-    a(k, n) = sum over compositions j_1+..+j_n = k and tuples
-              (m_1..m_n), gcd{m_i} = 1, of  prod a(j_i, m_i),
-
-with base cases a(k, k) = 1 and a(k, 1) = [k = 1].  Enumerating the
-tuples is exponential in n, so the coprimality filter is collapsed by
-Mobius inversion and the composition sum by polynomial powers:
+to k and whose gcds are globally coprime.  Collapsing the coprimality
+filter by Mobius inversion and the composition sum into polynomial
+powers gives, for n >= 2,
 
     a(k, n) = sum_{e >= 1} mu(e) * [x^k] W_e(x)^n,
-    W_e(x)  = sum_j ( sum_{e | m} a(j, m) ) x^j.
+    W_e(x)  = sum_j ( sum_{e | m} a(j, m) ) x^j,
 
-Only coefficients of W_e below degree k appear in [x^k] W_e^n when
-n >= 2, so the table fills row by row.  Row sums reproduce the reversion
-of the Mobius series by an independent route.
+with the single base case a(1, 1) = 1 (so a(k, 1) = 0 for k >= 2, and
+a(k, k) = 1 comes out of the sum).  For n >= 2 the coefficient
+[x^j] W_e^n involves W_e only below degree j, so the power rows
+[x^j] W_e^n are kept from one row k to the next: row k costs one
+convolution entry per (e, n) pair, about O(K^3 log K) for the table up
+to K.  Row sums reproduce the reversion of the Mobius series by an
+independent route.
 
-The same recurrence refines by lcm: each polynomial coefficient becomes
-a vector of counts indexed by lcm value and coefficient multiplication
-lcm-convolves, since the lcm of an assembled system is n times the lcm
-of its pieces' lcms.  For the set of attainable lcm values alone, counts
-are unnecessary: reachability over (size, lcm) pairs suffices, because
-any p >= 2 systems assemble into one (with p a prime, every nontrivial
-system arises this way from the contraction by a prime dividing its gcd).
+The recurrence is written once, over a coefficient ring.  Plain integers
+give a(k, m).  Refining by lcm, a coefficient is a vector of counts
+indexed by lcm value, multiplication lcm-convolves, and the count for
+gcd n lifts each lcm l to n * l, since the lcm of an assembled system is
+n times the lcm of its pieces' lcms.  For the set of attainable lcm
+values alone, counts are unnecessary: reachability over (size, lcm)
+pairs suffices, because any p >= 2 systems assemble into one (with p a
+prime, every nontrivial system arises this way from the contraction by a
+prime dividing its gcd).
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
+import tempfile
 from dataclasses import dataclass, field
+from functools import reduce
 from math import lcm
 
-from .series import mobius_upto
+from .series import mobius_upto, prime_factors
 
 #: lcm bucket key for counts whose lcm exceeded the configured cap.
 OVERFLOW = -1
@@ -101,130 +105,93 @@ class LcmCountTable:
 def count_size_gcd(max_size: int, cache_path: str | None = None) -> CountTable:
     """Fill the (size, gcd) table for all 1 <= m <= k <= max_size.
 
-    With a cache path, previously computed rows are reloaded and the table
-    is extended as needed, then saved back.
+    With a cache path, a cached table that reaches max_size is read back;
+    otherwise the table is computed and written to the cache.
     """
     if max_size < 1:
         raise ValueError("need max_size >= 1")
     table = _load_cache(cache_path) if cache_path else None
-    if table is None:
-        table = CountTable(0)
-    if table.max_size >= max_size:
+    if table is not None and table.max_size >= max_size:
         kept = {km: v for km, v in table.entries.items() if km[0] <= max_size}
         return CountTable(max_size, kept)
-
-    mu = mobius_upto(max_size)
-    a = table.entries
-    for k in range(table.max_size + 1, max_size + 1):
-        a[k, 1] = 1 if k == 1 else 0
-        if k >= 2:
-            a[k, k] = 1
-        for n in range(2, k):
-            total = 0
-            for e in range(1, k // n + 1):
-                if mu[e] == 0:
-                    continue
-                # W_e up to degree k-1; the degree-k coefficient of W_e^n
-                # with n >= 2 never touches the (unknown) degree-k entry.
-                w = [0] * k
-                for j in range(e, k):
-                    w[j] = sum(a.get((j, m), 0) for m in range(e, j + 1, e))
-                total += mu[e] * _power_coeff(w, n, k)
-            a[k, n] = total
-    table.max_size = max_size
+    a = _fill(max_size, 1, operator.add, operator.mul, operator.mul, lambda v, n: v)
+    table = CountTable(max_size, a)
     if cache_path:
         _save_cache(cache_path, table)
     return table
-
-
-def _power_coeff(w: list[int], n: int, k: int) -> int:
-    """[x^k] of (sum w[j] x^j)^n, by repeated truncated convolution."""
-    cur = w[: k + 1] + [0] * (k + 1 - len(w))
-    for _ in range(n - 1):
-        nxt = [0] * (k + 1)
-        for i, wi in enumerate(w):
-            if wi == 0:
-                continue
-            for j in range(k + 1 - i):
-                cj = cur[j]
-                if cj:
-                    nxt[i + j] += wi * cj
-        cur = nxt
-    return cur[k]
 
 
 def count_size_gcd_lcm(max_size: int, lcm_max: int | None = None) -> LcmCountTable:
     """Fill the (size, gcd, lcm) table for 1 <= m <= k <= max_size."""
     if max_size < 1:
         raise ValueError("need max_size >= 1")
-    mu = mobius_upto(max_size)
-    # by_gcd[(k, m)] maps lcm value (or OVERFLOW) to its count
-    by_gcd: dict[tuple[int, int], dict[int, int]] = {(1, 1): {1: 1}}
-    for k in range(2, max_size + 1):
-        by_gcd[k, k] = {_cap(k, lcm_max): 1}
-        for n in range(2, k):
-            acc: dict[int, int] = {}
-            for e in range(1, k // n + 1):
-                if mu[e] == 0:
-                    continue
-                w: list[dict[int, int]] = [dict() for _ in range(k)]
-                for j in range(e, k):
-                    vec = w[j]
-                    for m in range(e, j + 1, e):
-                        for l, v in by_gcd.get((j, m), {}).items():
-                            vec[l] = vec.get(l, 0) + v
-                for l, v in _lcm_power_coeff(w, n, k).items():
-                    acc[l] = acc.get(l, 0) + mu[e] * v
-            vec = {}
-            for l, v in acc.items():
-                if v:
-                    full_l = OVERFLOW if l == OVERFLOW else _cap(n * l, lcm_max)
-                    vec[full_l] = vec.get(full_l, 0) + v
-            if vec:
-                by_gcd[k, n] = vec
-    entries = {
-        (k, m, l): v for (k, m), vec in by_gcd.items() for l, v in vec.items() if v
-    }
+
+    def add(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        out = dict(u)
+        for l, c in v.items():
+            out[l] = out.get(l, 0) + c
+        return out
+
+    def mul(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for l1, c1 in u.items():
+            for l2, c2 in v.items():
+                l = OVERFLOW if OVERFLOW in (l1, l2) else lcm(l1, l2)
+                out[l] = out.get(l, 0) + c1 * c2
+        return out
+
+    def scale(u: dict[int, int], c: int) -> dict[int, int]:
+        return {l: c * v for l, v in u.items()}
+
+    def lift(u: dict[int, int], n: int) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for l, c in u.items():
+            if l != OVERFLOW:
+                l = OVERFLOW if lcm_max is not None and n * l > lcm_max else n * l
+            out[l] = out.get(l, 0) + c
+        return {l: c for l, c in out.items() if c}
+
+    a = _fill(max_size, {1: 1}, add, mul, scale, lift)
+    entries = {(k, m, l): c for (k, m), vec in a.items() for l, c in vec.items()}
     return LcmCountTable(max_size, lcm_max, entries)
 
 
-def _cap(l: int, lcm_max: int | None) -> int:
-    return OVERFLOW if lcm_max is not None and l > lcm_max else l
+def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
+    """a[(k, m)] = a(k, m) over a coefficient ring for 1 <= m <= k <=
+    max_size, where nonzero (a(k, 1) = 0 for k >= 2 is left out).
 
-
-def _lcm_power_coeff(w: list[dict[int, int]], n: int, k: int) -> dict[int, int]:
-    """Degree-k entry of the n-th power where coefficients are lcm-indexed
-    count vectors and coefficient multiplication lcm-convolves."""
-    cur: list[dict[int, int]] = [dict(vec) for vec in w] + [dict() for _ in range(k + 1 - len(w))]
-    for _ in range(n - 1):
-        nxt: list[dict[int, int]] = [dict() for _ in range(k + 1)]
-        for i, vec in enumerate(w):
-            if not vec:
-                continue
-            for j in range(k + 1 - i):
-                cv = cur[j]
-                if not cv:
-                    continue
-                out = nxt[i + j]
-                for l1, v1 in vec.items():
-                    for l2, v2 in cv.items():
-                        l = OVERFLOW if OVERFLOW in (l1, l2) else lcm(l1, l2)
-                        out[l] = out.get(l, 0) + v1 * v2
-        cur = nxt
-    return cur[k]
-
-
-def _primes_upto(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    primes = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            primes.append(p)
-            for q in range(p * p, n + 1, p):
-                sieve[q] = 0
-    return primes
+    The ring is given by its unit (the count of the trivial system), add
+    and mul, scale(v, c) by an integer c, and lift(v, n), which turns the
+    Mobius sum for gcd n into the count of systems with gcd n.  No zero
+    element is needed: W_e has nonzero coefficients from degree e on, so
+    every sum taken here has a first term.
+    """
+    mu = mobius_upto(max_size)
+    es = [e for e in range(1, max_size + 1) if mu[e]]
+    # w[e][j] = [x^j] W_e; pw[e][n][j] = [x^j] W_e^n, and pw[e][1] is w[e]
+    w = {e: [None] * (max_size + 1) for e in es}
+    pw = {
+        e: [None, w[e]] + [[None] * (max_size + 1) for _ in range(2, max_size // e + 1)]
+        for e in es
+    }
+    a = {(1, 1): one}
+    for k in range(1, max_size + 1):
+        for n in range(2, k + 1):
+            terms = []
+            for e in es:
+                if n * e > k:
+                    break
+                # W_e starts at degree e, W_e^(n-1) at degree (n-1)e
+                we, prev = w[e], pw[e][n - 1]
+                products = [mul(we[i], prev[k - i]) for i in range(e, k - (n - 1) * e + 1)]
+                pw[e][n][k] = coeff = reduce(add, products)
+                terms.append(scale(coeff, mu[e]))
+            a[k, n] = lift(reduce(add, terms), n)
+        for e in es:
+            if e > k:
+                break
+            w[e][k] = reduce(add, [a[k, m] for m in range(e, k + 1, e) if (k, m) in a])
+    return a
 
 
 def distinct_lcm_values(k: int) -> set[int]:
@@ -242,7 +209,7 @@ def distinct_lcm_values(k: int) -> set[int]:
     attained: dict[int, set[int]] = {1: {1}}  # size -> attainable lcms
     for size in range(2, k + 1):
         pieces = [(s, l) for s, ls in attained.items() for l in ls]
-        primes = _primes_upto(size)
+        primes = [t for t in range(2, size + 1) if prime_factors(t) == [t]]
         found: set[int] = set()
         # combos = t-fold combinations (total size, lcm of lcms); prefix work
         # is shared across the different primes t.
@@ -278,8 +245,15 @@ def _load_cache(path: str) -> CountTable | None:
     if not os.path.exists(path):
         return None
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("format") != _CACHE_FORMAT or data.get("version") != _CACHE_VERSION:
+        try:
+            data = json.load(fh)
+        except ValueError:  # not JSON, or not UTF-8
+            data = None
+    if not (
+        isinstance(data, dict)
+        and data.get("format") == _CACHE_FORMAT
+        and data.get("version") == _CACHE_VERSION
+    ):
         raise ValueError(f"unrecognized cache format in {path}")
     entries = {(int(k), int(m)): int(v) for k, m, v in data["counts"]}
     return CountTable(int(data["max_size"]), entries)
@@ -292,7 +266,17 @@ def _save_cache(path: str, table: CountTable) -> None:
         "max_size": table.max_size,
         "counts": [[k, m, str(v)] for (k, m), v in sorted(table.entries.items())],
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    umask = os.umask(0)
+    os.umask(umask)
+    # a unique temporary file, so concurrent writers never share one
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=os.path.basename(path) + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)  # the mode open() gives, not 0600
+            json.dump(payload, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

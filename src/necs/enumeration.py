@@ -37,8 +37,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator
 
-from .congruence import CoveringSystem, ResidueClass
+from .congruence import CoveringSystem, ResidueClass, least_translate
 from .counting import CountTable, count_size_gcd
+from .series import prime_factors
+from .trees import _compositions_colex
 
 Flat = tuple[tuple[int, int], ...]  # sorted ((modulus, offset), ...)
 
@@ -52,15 +54,6 @@ class SearchBudgetExceeded(RuntimeError):
 
 def _to_system(flat: Flat) -> CoveringSystem:
     return CoveringSystem(ResidueClass(n, a) for n, a in flat)
-
-
-def _compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for last in range(1, total - parts + 2):
-        for rest in _compositions_colex(total - last, parts - 1):
-            yield rest + (last,)
 
 
 class _NecsGenerator:
@@ -162,31 +155,6 @@ def enumerate_necs(
         yield _to_system(flat)
 
 
-def _canonical_flat(flat: Flat) -> Flat:
-    """Lexicographically least translate of a flat system (see
-    congruence.canonical_shift; same refinement, tuple-level)."""
-    groups: dict[int, list[int]] = {}
-    for n, a in flat:
-        groups.setdefault(n, []).append(a)
-    period = 1
-    cands = [0]
-    for n in sorted(groups):
-        offs = groups[n]
-        new_period = period * n // gcd(period, n)
-        best_key = None
-        survivors: list[int] = []
-        for t0 in cands:
-            for t in range(t0, new_period, period):
-                key = tuple(sorted((o + t) % n for o in offs))
-                if best_key is None or key < best_key:
-                    best_key, survivors = key, [t]
-                elif key == best_key:
-                    survivors.append(t)
-        period, cands = new_period, survivors
-    t = cands[0] if len(cands) == 1 else min(cands)
-    return tuple(sorted((n, (a + t) % n) for n, a in flat))
-
-
 def shift_class_count(k: int) -> int:
     """Number of orbits of the size-k natural systems under translation.
 
@@ -197,10 +165,10 @@ def shift_class_count(k: int) -> int:
     if k < 1:
         raise ValueError("need k >= 1")
     if k <= 10:
-        return len({_canonical_flat(f) for f in _necs_stream(k, None)})
+        return len({least_translate(f)[0] for f in _necs_stream(k, None)})
     seen: set[bytes] = set()
     for flat in _necs_stream(k, None):
-        canon = _canonical_flat(flat)
+        canon, _ = least_translate(flat)
         seen.add(hashlib.blake2b(repr(canon).encode(), digest_size=16).digest())
     return len(seen)
 
@@ -208,7 +176,7 @@ def shift_class_count(k: int) -> int:
 def enumerate_shift_classes(k: int) -> Iterator[CoveringSystem]:
     """One representative per shift class: the lexicographically least
     translate, emitted in canonical lexicographic order."""
-    reps = {_canonical_flat(f) for f in _necs_stream(k, None)}
+    reps = {least_translate(f)[0] for f in _necs_stream(k, None)}
     for flat in sorted(reps):
         yield _to_system(flat)
 
@@ -235,19 +203,6 @@ class EcsSearchConfig:
     gcd: int | None = None
 
 
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return True  # 1 behaves like one here: it would force gcd > 1 anyway
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # prime
-
-
 def _modulus_multisets(
     k: int, max_mod: int, admissible
 ) -> Iterator[tuple[int, ...]]:
@@ -271,7 +226,7 @@ def _modulus_multisets(
         return
     values = [n for n in range(2, max_mod + 1) if admissible(n)]
     admissible_set = set(values)
-    factors = {n: _prime_factors(n) for n in values}
+    factors = {n: prime_factors(n) for n in values}
 
     def compatible(n: int, distinct: list[int]) -> bool:
         for m in distinct:
@@ -292,7 +247,7 @@ def _modulus_multisets(
         (state already rolled back), else an undo token."""
         undo: list = []
         d = Fraction(1, n)
-        fs = factors[n] if n in factors else _prime_factors(n)
+        fs = factors[n] if n in factors else prime_factors(n)
         ok = True
         for p in fs:
             entry = strata.get(p)
@@ -334,7 +289,7 @@ def _modulus_multisets(
         mod p, each summing exactly R_p = 1 - sum of 1/n over the rest."""
         primes: set[int] = set()
         for n in moduli:
-            primes.update(factors[n] if n in factors else _prime_factors(n))
+            primes.update(factors[n] if n in factors else prime_factors(n))
         for p in primes:
             terms: list[Fraction] = []
             other = Fraction(0)
@@ -453,20 +408,6 @@ def _splits_into_equal_parts(items: list[Fraction], parts: int, target: Fraction
     return place(0)
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _is_prime_combination(t: int, primes: list[int]) -> bool:
     """Is t a nonnegative integer combination of the given primes?"""
     reach = bytearray(t + 1)
@@ -494,7 +435,7 @@ def _maximal_multiplicities_ok(moduli: list[int]) -> bool:
             continue
         if any(u != v and u % v == 0 for u in counts):
             continue
-        if not _is_prime_combination(t, _prime_factors(v)):
+        if not _is_prime_combination(t, prime_factors(v)):
             return False
     return True
 
@@ -577,7 +518,7 @@ def _ecs_multisets(k: int, cfg: EcsSearchConfig) -> Iterator[tuple[int, ...]]:
     def admissible(n: int) -> bool:
         # a prime-power modulus puts its prime into every other modulus
         # (disjoint classes need non-coprime moduli), hence into the gcd
-        if want_gcd == 1 and k >= 2 and _is_prime_power(n):
+        if want_gcd == 1 and k >= 2 and len(prime_factors(n)) <= 1:
             return False
         if want_gcd is not None and want_gcd >= 2 and n % want_gcd != 0:
             return False

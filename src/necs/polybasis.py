@@ -72,20 +72,23 @@ def evaluate_f(n: int, g: int) -> int:
     return binomial_coeffs(n)(g)
 
 
-def _coeff_c(n: int, k: int) -> int:
-    if k == 0:
-        return 1 if n == 0 else 0
-    if not 1 <= k <= n:
-        raise ValueError(f"c({n},{k}) undefined")
-    return binomial_coeffs(n).coeffs[k - 1]
-
-
 def backward_difference_check(l: int, m: int) -> int:
     """The l-th backward difference along the diagonal c(m+l, m):
 
         sum_{j=0..l} C(l,j) (-1)^j c(m+l-j, m-j)
 
-    which equals 3^l for l >= 1, m >= l (and c(m, m) = 1 at l = 0)."""
+    which equals 3^l for l >= 1, m >= l (and c(m, m) = 1 at l = 0).
+    Every term is c(k+l, k) = [x^(k+l)] (A(x)/x - 1)^k for one k <= m, so
+    one run of powers of that series, truncated at order m+l, gives all."""
     if l < 0 or m < l:
         raise ValueError("need m >= l >= 0")
-    return sum(comb(l, j) * (-1) ** j * _coeff_c(m + l - j, m - j) for j in range(l + 1))
+    base = _shifted_remainder(m + l)
+    power = IntSeries([1] + [0] * (m + l))  # the 0th power; c(l, 0) = [l = 0]
+    total = 0
+    for k in range(m + 1):
+        j = m - k
+        if j <= l:
+            total += comb(l, j) * (-1) ** j * power[k + l]
+        if k < m:
+            power = mul(power, base, m + l)
+    return total

@@ -208,7 +208,7 @@ def revert(s: IntSeries, n: int) -> IntSeries:
     return IntSeries(r)
 
 
-# --- Mobius function -------------------------------------------------------
+# --- Mobius function and prime factors -------------------------------------
 
 
 def mobius_upto(n: int) -> list[int]:
@@ -234,6 +234,23 @@ def mobius_upto(n: int) -> list[int]:
                 break
             mu[ip] = -mu[i]
     return mu
+
+
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order (so the
+    first is the smallest, and n is a prime power, or 1, iff there is at
+    most one)."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def mobius(n: int) -> int:

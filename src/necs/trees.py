@@ -163,10 +163,21 @@ def tree_count(k: int) -> int:
 
 
 def format_tree(t: Tree) -> str:
-    if t.is_leaf():
-        return "()"
-    inner = " ".join(format_tree(c) for c in t.children)
-    return f"({t.up_degree} {inner})"
+    """The parenthesized format; iterative, so any depth formats."""
+    out = []
+    todo: list = [t]  # subtrees not yet visited, and closing text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf():
+            out.append("()")
+        else:
+            out.append(f"({item.up_degree}")
+            todo.append(")")
+            for child in reversed(item.children):
+                todo.extend((child, " "))
+    return "".join(out)
 
 
 def parse_tree(text: str) -> Tree:

@@ -1,11 +1,13 @@
 """Shared fixtures: published table values and reference systems."""
 
 import os
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from necs import congruence as cg
+from necs import series as se
+from necs.counting import OVERFLOW
 
 slow = pytest.mark.skipif(
     os.environ.get("NECS_SLOW") != "1",
@@ -83,8 +85,6 @@ def sys_of(pairs) -> cg.CoveringSystem:
 def brute_force_exact(pairs, window=None) -> bool:
     """Independent exactness oracle: check each integer in one full period
     is covered exactly once."""
-    from math import lcm
-
     period = 1
     for _, n in pairs:
         period = lcm(period, n)
@@ -94,6 +94,17 @@ def brute_force_exact(pairs, window=None) -> bool:
         if hits != 1:
             return False
     return True
+
+
+def canonical_shift_scan(c):
+    """Reference least translate: full scan of every translate in [0, lcm),
+    returning the least translate of c and the least t giving it."""
+    best, best_t = c, 0
+    for t in range(1, cg.lcm_of(c)):
+        cand = cg.shift(c, t)
+        if cand.key() < best.key():
+            best, best_t = cand, t
+    return best, best_t
 
 
 def assign_offsets_smallest_uncovered(moduli, tick=lambda: None):
@@ -138,3 +149,104 @@ def assign_offsets_smallest_uncovered(moduli, tick=lambda: None):
             counts[n] += 1
 
     yield from rec(len(moduli), 0)
+
+
+def count_size_gcd_rows(max_size):
+    """Reference (size, gcd) counts: entries[(k, m)] = a(k, m), rebuilding
+    each W_e and each power W_e^n from scratch for every row k.
+
+    a(k, n) = sum_e mu(e) [x^k] W_e^n with W_e = sum_j (sum_{e|m} a(j, m)) x^j,
+    base cases a(k, k) = 1 and a(k, 1) = [k = 1]; zeros are stored.
+    """
+    mu = se.mobius_upto(max_size)
+    a = {}
+    for k in range(1, max_size + 1):
+        a[k, 1] = 1 if k == 1 else 0
+        if k >= 2:
+            a[k, k] = 1
+        for n in range(2, k):
+            total = 0
+            for e in range(1, k // n + 1):
+                if mu[e] == 0:
+                    continue
+                # W_e up to degree k-1; the degree-k coefficient of W_e^n
+                # with n >= 2 never touches the (unknown) degree-k entry.
+                w = [0] * k
+                for j in range(e, k):
+                    w[j] = sum(a.get((j, m), 0) for m in range(e, j + 1, e))
+                total += mu[e] * _power_coeff(w, n, k)
+            a[k, n] = total
+    return a
+
+
+def _power_coeff(w, n, k):
+    """[x^k] of (sum w[j] x^j)^n, by repeated truncated convolution."""
+    cur = w[: k + 1] + [0] * (k + 1 - len(w))
+    for _ in range(n - 1):
+        nxt = [0] * (k + 1)
+        for i, wi in enumerate(w):
+            if wi == 0:
+                continue
+            for j in range(k + 1 - i):
+                cj = cur[j]
+                if cj:
+                    nxt[i + j] += wi * cj
+        cur = nxt
+    return cur[k]
+
+
+def count_size_gcd_lcm_rows(max_size, lcm_max=None):
+    """Reference (size, gcd, lcm) counts, nonzero entries[(k, m, l)] only,
+    by the same from-scratch row loop over lcm-indexed count vectors; the
+    lcm key OVERFLOW collects counts whose lcm exceeds lcm_max."""
+    def cap(l):
+        return OVERFLOW if lcm_max is not None and l > lcm_max else l
+
+    mu = se.mobius_upto(max_size)
+    # by_gcd[(k, m)] maps lcm value (or OVERFLOW) to its count
+    by_gcd = {(1, 1): {1: 1}}
+    for k in range(2, max_size + 1):
+        by_gcd[k, k] = {cap(k): 1}
+        for n in range(2, k):
+            acc = {}
+            for e in range(1, k // n + 1):
+                if mu[e] == 0:
+                    continue
+                w = [dict() for _ in range(k)]
+                for j in range(e, k):
+                    vec = w[j]
+                    for m in range(e, j + 1, e):
+                        for l, v in by_gcd.get((j, m), {}).items():
+                            vec[l] = vec.get(l, 0) + v
+                for l, v in _lcm_power_coeff(w, n, k).items():
+                    acc[l] = acc.get(l, 0) + mu[e] * v
+            vec = {}
+            for l, v in acc.items():
+                if v:
+                    full_l = OVERFLOW if l == OVERFLOW else cap(n * l)
+                    vec[full_l] = vec.get(full_l, 0) + v
+            if vec:
+                by_gcd[k, n] = vec
+    return {(k, m, l): v for (k, m), vec in by_gcd.items() for l, v in vec.items() if v}
+
+
+def _lcm_power_coeff(w, n, k):
+    """Degree-k entry of the n-th power where coefficients are lcm-indexed
+    count vectors and coefficient multiplication lcm-convolves."""
+    cur = [dict(vec) for vec in w] + [dict() for _ in range(k + 1 - len(w))]
+    for _ in range(n - 1):
+        nxt = [dict() for _ in range(k + 1)]
+        for i, vec in enumerate(w):
+            if not vec:
+                continue
+            for j in range(k + 1 - i):
+                cv = cur[j]
+                if not cv:
+                    continue
+                out = nxt[i + j]
+                for l1, v1 in vec.items():
+                    for l2, v2 in cv.items():
+                        l = OVERFLOW if OVERFLOW in (l1, l2) else lcm(l1, l2)
+                        out[l] = out.get(l, 0) + v1 * v2
+        cur = nxt
+    return cur[k]

@@ -62,6 +62,20 @@ class TestCountCommand:
         assert code == 0
         assert (tmp_path / "counts.json").exists()
 
+    @pytest.mark.parametrize(
+        "text", ['{"format": "something-else", "version": 9}', "[1, 2]", "not json"]
+    )
+    def test_foreign_cache_is_a_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        code = cli.run(["count", "--max-size", "5", "--cache", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(path) in captured.err
+        assert path.read_text() == text  # left as it was
+
 
 class TestEnumerateCommand:
     def test_lines(self, capsys):
@@ -82,12 +96,6 @@ class TestEnumerateCommand:
     def test_gcd_filter(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--size", "6", "--gcd", "3", "--format", "count-only")
         assert out.strip() == "48"
-
-    def test_workers_match_serial(self, capsys):
-        code1, serial = run_cli(capsys, "enumerate", "--size", "6")
-        code2, parallel = run_cli(capsys, "enumerate", "--size", "6", "--workers", "2")
-        assert code1 == code2 == 0
-        assert serial == parallel
 
     def test_shift_classes(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--size", "5", "--canonical", "shift", "--format", "count-only")
@@ -133,6 +141,19 @@ class TestRecognizeAndCheck:
         code, out = run_cli(capsys, "recognize", path)
         assert code == 0
         assert "witness split tree: (2 () (2 () ()))" in out
+
+    def test_deep_binary_chain(self, capsys, tmp_path):
+        # split the last class in two, 1,149 times: far deeper than the
+        # interpreter's recursion limit
+        pairs = [(0, 1)]
+        for _ in range(1149):
+            a, n = pairs.pop()
+            pairs += [(a, 2 * n), (a + n, 2 * n)]
+        code, out = run_cli(capsys, "recognize", self.write(tmp_path, pairs))
+        assert code == 0
+        witness = out.split("witness split tree: ")[1]
+        assert witness.count("()") == 1150
+        assert witness.startswith("(2 () (2 () (2 ")
 
     def test_not_exact(self, capsys, tmp_path):
         path = self.write(tmp_path, ERDOS_COVER)

@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from necs import congruence as cg
 
-from helpers import ERDOS_COVER, NON_NATURAL_13, TABLE1, brute_force_exact, slow, sys_of
+from helpers import (
+    ERDOS_COVER,
+    NON_NATURAL_13,
+    TABLE1,
+    brute_force_exact,
+    canonical_shift_scan,
+    slow,
+    sys_of,
+)
 
 
 @st.composite
@@ -287,7 +295,7 @@ class TestShift:
     @given(split_systems())
     @settings(max_examples=50, deadline=None)
     def test_canonical_matches_full_scan(self, s):
-        assert cg.canonical_shift(s) == cg._canonical_shift_scan(s)
+        assert cg.canonical_shift(s) == canonical_shift_scan(s)
 
     @given(split_systems(), st.integers(-30, 30))
     @settings(max_examples=50, deadline=None)

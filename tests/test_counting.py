@@ -8,7 +8,13 @@ import pytest
 from necs import counting as ct
 from necs import series as se
 
-from helpers import LCM_VALUE_COUNTS, TABLE2, slow
+from helpers import (
+    LCM_VALUE_COUNTS,
+    TABLE2,
+    count_size_gcd_lcm_rows,
+    count_size_gcd_rows,
+    slow,
+)
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +38,16 @@ class TestSizeGcd:
         a = se.A_series(22)
         for k in range(1, 23):
             assert table.row_sum(k) == a[k]
+
+    def test_row_sums_match_reversion_at_100(self):
+        table = ct.count_size_gcd(100)
+        a = se.A_series(100)
+        assert [table.row_sum(k) for k in range(1, 101)] == list(a.coeffs[1:])
+
+    def test_matches_row_by_row_reference(self):
+        for k in (1, 2, 3, 7, 30):
+            want = {km: v for km, v in count_size_gcd_rows(k).items() if v}
+            assert ct.count_size_gcd(k).entries == want, k
 
     def test_known_entries(self, table13):
         assert table13.get(5, 2) == 22
@@ -70,7 +86,7 @@ class TestSizeGcd:
         t1 = ct.count_size_gcd(8, cache_path=path)
         t2 = ct.count_size_gcd(8, cache_path=path)
         assert t1.entries == t2.entries
-        # extension reuses the cache and stays consistent
+        # a larger request recomputes the table and rewrites the cache
         t3 = ct.count_size_gcd(11, cache_path=path)
         fresh = ct.count_size_gcd(11)
         assert t3.entries == fresh.entries
@@ -78,6 +94,18 @@ class TestSizeGcd:
         t4 = ct.count_size_gcd(5, cache_path=path)
         assert t4.max_size == 5
         assert all(k <= 5 for k, _ in t4.entries)
+
+    def test_cache_write_uses_a_private_temporary_file(self, tmp_path):
+        # another writer's temporary file must neither block nor be reused
+        path = tmp_path / "counts.json"
+        (tmp_path / "counts.json.tmp").mkdir()
+        table = ct.count_size_gcd(6, cache_path=str(path))
+        assert ct.count_size_gcd(6, cache_path=str(path)).entries == table.entries
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["counts.json", "counts.json.tmp"]
+        plain = tmp_path / "plain.json"
+        plain.write_text("")
+        assert path.stat().st_mode == plain.stat().st_mode  # as open() would create it
 
     def test_cache_rejects_foreign_files(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -119,6 +147,14 @@ class TestSizeGcdLcm:
                 got = sum(v for (kk, mm, _), v in t.entries.items() if (kk, mm) == (k, m))
                 assert got == want
         assert not full.overflowed
+
+
+class TestLcmReference:
+    @pytest.mark.parametrize("lcm_max", [None, 12])
+    def test_matches_row_by_row_reference(self, lcm_max):
+        for k in range(1, 13):
+            want = count_size_gcd_lcm_rows(k, lcm_max)
+            assert ct.count_size_gcd_lcm(k, lcm_max).entries == want, k
 
 
 class TestDistinctLcms:

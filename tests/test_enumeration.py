@@ -8,6 +8,7 @@ import pytest
 from necs import congruence as cg
 from necs import counting as ct
 from necs import enumeration as en
+from necs import series as se
 from necs import trees as tr
 
 from helpers import (
@@ -15,6 +16,7 @@ from helpers import (
     SHIFT_CLASS_COUNTS,
     TABLE1,
     assign_offsets_smallest_uncovered,
+    canonical_shift_scan,
     brute_force_exact,
     slow,
     sys_of,
@@ -184,9 +186,9 @@ class TestHelpers:
         powers = {2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 81, 128}
         non_powers = {6, 10, 12, 14, 15, 18, 20, 21, 22, 24, 30, 36}
         for n in powers:
-            assert en._is_prime_power(n)
+            assert len(se.prime_factors(n)) == 1
         for n in non_powers:
-            assert not en._is_prime_power(n)
+            assert len(se.prime_factors(n)) >= 2
 
     def test_equal_partition_feasibility(self):
         from fractions import Fraction as F
@@ -198,10 +200,9 @@ class TestHelpers:
         # an oversized term can never fit
         assert not en._splits_into_equal_parts([F(3, 4), F(1, 4)], 2, F(1, 2))
 
-    def test_canonical_flat_matches_object_version(self):
+    def test_least_translate_matches_scan(self):
         for k in range(1, 7):
             for s in en.enumerate_necs(k, ordered=False):
-                flat = tuple((c.modulus, c.offset) for c in s.classes)
-                want, _ = cg.canonical_shift(s)
-                got = en._canonical_flat(flat)
-                assert got == tuple((c.modulus, c.offset) for c in want.classes)
+                want, t = canonical_shift_scan(s)
+                got = cg.least_translate((c.modulus, c.offset) for c in s.classes)
+                assert got == (tuple((c.modulus, c.offset) for c in want.classes), t)

@@ -1,6 +1,7 @@
 """Exact series algebra: Mobius sieve, reversion, and the named series."""
 
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,18 @@ class TestMobius:
         mu = se.mobius_upto(500)
         for n in range(1, 501):
             assert mu[n] == mobius_trial_division(n), n
+
+    def test_prime_factors_agree_with_the_sieve(self):
+        assert se.prime_factors(1) == []
+        assert se.prime_factors(360) == [2, 3, 5]
+        assert se.prime_factors(2**40 * 97) == [2, 97]
+        mu = se.mobius_upto(500)
+        for n in range(1, 501):
+            fs = se.prime_factors(n)
+            assert fs == sorted(fs) and all(n % p == 0 for p in fs), n
+            assert all(all(p % q for q in range(2, p)) for p in fs), n
+            squarefree = n == prod(fs)
+            assert mu[n] == ((-1) ** len(fs) if squarefree else 0), n
 
     def test_divisor_sums_collapse(self):
         # sum of mu over divisors of i vanishes except at i = 1
