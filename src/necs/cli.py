@@ -19,6 +19,7 @@ import os
 import sys
 
 from importlib import resources
+from pathlib import Path
 
 from . import asymptotics as asym
 from . import congruence as cg
@@ -67,25 +68,23 @@ def _default_cache(args) -> str | None:
 
 
 def _emit_count(args) -> int:
-    if args.lcm:
-        table = ct.count_size_gcd_lcm(args.max_size, args.lcm_max)
-        if args.format == "csv":
-            print("k,m,l,count")
-        for k, m, l, v in table.rows():
-            label = "overflow" if l == ct.OVERFLOW else str(l)
-            print(f"{k},{m},{label},{v}" if args.format == "csv" else f"a({k},{m},{label}) = {v}")
-        if table.overflowed:
-            print("# some counts exceeded --lcm-max and were bucketed", file=sys.stderr)
-        return 0
     try:
-        table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
+        if args.lcm:
+            table = ct.count_size_gcd_lcm(args.max_size, args.lcm_max)
+        else:
+            table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
     except (ValueError, OSError) as exc:
         print(f"count: {exc}", file=sys.stderr)
         return 2
     if args.format == "csv":
-        print("k,m,count")
-    for k, m, v in table.rows():
-        print(f"{k},{m},{v}" if args.format == "csv" else f"a({k},{m}) = {v}")
+        print("k,m,l,count" if args.lcm else "k,m,count")
+    for *key, v in table.rows():
+        if args.lcm and key[2] == ct.OVERFLOW:
+            key[2] = "overflow"
+        label = ",".join(map(str, key))
+        print(f"{label},{v}" if args.format == "csv" else f"a({label}) = {v}")
+    if args.lcm and table.overflowed:
+        print("# some counts exceeded --lcm-max and were bucketed", file=sys.stderr)
     return 0
 
 
@@ -123,7 +122,7 @@ def _emit_enumerate(args) -> int:
 
 
 def _read_system(path: str, as_json: bool) -> cg.CoveringSystem:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     if as_json or path.endswith(".json"):
         return cg.parse_system_json(text)
     return cg.parse_system_text(text)
@@ -132,13 +131,14 @@ def _read_system(path: str, as_json: bool) -> cg.CoveringSystem:
 def _emit_recognize(args) -> int:
     try:
         system = _read_system(args.file, args.json)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
-    if not cg.is_exact(system):
+    try:
+        witness = cg.naturality_witness(system)
+    except cg.NotExactCoverError:
         print("not an exact covering system")
         return 4
-    witness = cg.naturality_witness(system)
     if witness is None:
         print("exact but not natural")
         return 3
@@ -149,7 +149,7 @@ def _emit_recognize(args) -> int:
 def _emit_check(args) -> int:
     try:
         system = _read_system(args.file, args.json)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
     exact = cg.is_exact(system)

@@ -12,12 +12,11 @@ disjointness never requires materializing Z/lcm.  Given pairwise
 disjointness, covering is equivalent to the densities 1/n summing to
 exactly 1, tested in exact rational arithmetic.
 
-The inverse of expansion is contraction: an exact system whose moduli
-share a divisor n splits into n exact systems, one per offset residue
-mod n.  Naturality is recognized by contracting recursively: a system
-larger than {<0,1>} is natural iff its gcd exceeds 1 and every piece of
-the contraction by (any, in particular the smallest) prime divisor of the
-gcd is natural.
+The inverse of expansion is contraction: a system whose moduli share a
+divisor n splits into n pieces, one per offset residue mod n, each exact
+iff the system is.  Recursive contraction by the smallest prime of each
+piece's gcd recognizes naturality and certifies exactness at once; only a
+piece of gcd 1 needs the pairwise is_exact, to tell the two verdicts apart.
 """
 
 from __future__ import annotations
@@ -189,6 +188,17 @@ def r_split(c: CoveringSystem, target: ResidueClass, r: int) -> CoveringSystem:
     return CoveringSystem(rest)
 
 
+def _contract_pairs(pairs: Iterable[tuple[int, int]], n: int) -> list[list[tuple[int, int]]]:
+    """contract on (modulus, offset) pairs; an empty bucket means not exact."""
+    buckets: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for m, a in pairs:
+        i = a % n
+        buckets[i].append((m // n, (a - i) // n))
+    if not all(buckets):
+        raise NotExactCoverError("some offset residue mod n is empty; input is not exact")
+    return buckets
+
+
 def contract(c: CoveringSystem, n: int) -> tuple[CoveringSystem, ...]:
     """Split an exact system whose gcd n divides into n exact systems.
 
@@ -201,14 +211,8 @@ def contract(c: CoveringSystem, n: int) -> tuple[CoveringSystem, ...]:
         raise ValueError("contraction modulus must be >= 2")
     if gcd_of(c) % n != 0:
         raise ValueError(f"{n} does not divide the gcd {gcd_of(c)}")
-    buckets: list[list[ResidueClass]] = [[] for _ in range(n)]
-    for cl in c.classes:
-        i = cl.offset % n
-        buckets[i].append(ResidueClass(cl.modulus // n, (cl.offset - i) // n))
-    if any(not b for b in buckets):
-        # cannot happen for exact input: each offset residue mod n is hit
-        raise NotExactCoverError("some offset residue mod n is empty; input is not exact")
-    return tuple(CoveringSystem(b) for b in buckets)
+    buckets = _contract_pairs(((cl.modulus, cl.offset) for cl in c.classes), n)
+    return tuple(CoveringSystem(ResidueClass(m, a) for m, a in b) for b in buckets)
 
 
 def reassemble(pieces: Sequence[CoveringSystem], n: int | None = None) -> CoveringSystem:
@@ -229,39 +233,43 @@ TRIVIAL = CoveringSystem([ResidueClass(1, 0)])
 def is_natural(c: CoveringSystem) -> bool:
     """True iff c is reachable from {<0,1>} by a sequence of splits.
 
-    Requires exact input and raises NotExactCoverError otherwise.  A
-    nontrivial natural system has gcd > 1, and with p the smallest prime
-    dividing the gcd, it is natural iff all p contraction pieces are.
+    Raises NotExactCoverError on input that is not exact.  With p the
+    smallest prime of the gcd, c is natural iff all p contraction pieces
+    are; the contraction certifies exactness, and is_exact runs only at a
+    piece of gcd 1 (see naturality_witness).
     """
     return naturality_witness(c) is not None
 
 
 def naturality_witness(c: CoveringSystem):
-    """Split tree certifying naturality, or None if c is not natural.
+    """Split tree certifying naturality, or None if c is exact but not natural.
 
     The witness is a Tree (see necs.trees) whose leaf labels reproduce c:
-    internal nodes record the contraction modulus chosen at each level.
-    Raises NotExactCoverError on non-exact input.  Iterative, so systems
-    of any depth are recognized: contraction pieces wait on a stack until
+    internal nodes record the contraction modulus chosen at each level,
+    and the leaves <0,1> certify that c is exact.  An empty contraction
+    piece raises NotExactCoverError; is_exact runs only at a piece of gcd
+    1, to tell an exact c (None) from a non-exact one.  Iterative, so any
+    depth is recognized: (modulus, offset) pieces wait on a stack until
     visited, and the tree is assembled from the arities in visiting order.
     """
     from . import trees  # local import; trees depends on this module
 
-    if not is_exact(c):
-        raise NotExactCoverError("input does not partition the integers")
     arities = []  # preorder: 0 for a leaf, else the contraction modulus
-    todo = [c]
+    todo = [[(cl.modulus, cl.offset) for cl in c.classes]]
     while todo:
         piece = todo.pop()
-        if len(piece.classes) == 1:
-            arities.append(0)  # the only exact singleton is {<0,1>}
+        if piece == [(1, 0)]:
+            arities.append(0)
             continue
-        g = gcd_of(piece)
+        # a lone class of modulus above 1 leaves empty buckets below
+        g = gcd(*(m for m, _ in piece))
         if g == 1:
-            return None
+            if is_exact(c):
+                return None
+            raise NotExactCoverError("input does not partition the integers")
         p = prime_factors(g)[0]
         arities.append(p)
-        todo.extend(reversed(contract(piece, p)))
+        todo.extend(reversed(_contract_pairs(piece, p)))
     built: list = []  # finished subtrees; the first child on top
     for p in reversed(arities):
         if p == 0:

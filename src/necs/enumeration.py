@@ -29,7 +29,6 @@ pairs; CoveringSystem objects are built only at the public boundary.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -155,29 +154,22 @@ def enumerate_necs(
         yield _to_system(flat)
 
 
-def shift_class_count(k: int) -> int:
-    """Number of orbits of the size-k natural systems under translation.
+def _least_translates(k: int) -> Iterator[Flat]:
+    # translation preserves naturality, so each shift class has one member here
+    return (f for f in _necs_stream(k, None) if least_translate(f)[0] == f)
 
-    For k >= 11 only 16-byte digests of the canonical forms are kept
-    (about 1.5M systems at k = 12); smaller sizes keep the forms
-    themselves so the classes can be audited directly.
-    """
+
+def shift_class_count(k: int) -> int:
+    """Number of orbits of the size-k natural systems under translation."""
     if k < 1:
         raise ValueError("need k >= 1")
-    if k <= 10:
-        return len({least_translate(f)[0] for f in _necs_stream(k, None)})
-    seen: set[bytes] = set()
-    for flat in _necs_stream(k, None):
-        canon, _ = least_translate(flat)
-        seen.add(hashlib.blake2b(repr(canon).encode(), digest_size=16).digest())
-    return len(seen)
+    return sum(1 for _ in _least_translates(k))
 
 
 def enumerate_shift_classes(k: int) -> Iterator[CoveringSystem]:
     """One representative per shift class: the lexicographically least
     translate, emitted in canonical lexicographic order."""
-    reps = {least_translate(f)[0] for f in _necs_stream(k, None)}
-    for flat in sorted(reps):
+    for flat in sorted(_least_translates(k)):
         yield _to_system(flat)
 
 

@@ -48,6 +48,12 @@ class TestCountCommand:
         code, out = run_cli(capsys, "count", "--max-size", "3", "--lcm")
         assert code == 0
         assert "3,2,4,2" in out.splitlines()
+        for extra in ([], ["--lcm"]):
+            code = cli.run(["count", "--max-size", "0", *extra])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
 
     def test_cache_flag(self, capsys, tmp_path):
         path = str(tmp_path / "c.json")
@@ -142,18 +148,34 @@ class TestRecognizeAndCheck:
         assert code == 0
         assert "witness split tree: (2 () (2 () ()))" in out
 
-    def test_deep_binary_chain(self, capsys, tmp_path):
+    @staticmethod
+    def binary_chain():
         # split the last class in two, 1,149 times: far deeper than the
         # interpreter's recursion limit
         pairs = [(0, 1)]
         for _ in range(1149):
             a, n = pairs.pop()
             pairs += [(a, 2 * n), (a + n, 2 * n)]
+        return pairs
+
+    def test_deep_binary_chain(self, capsys, tmp_path):
+        pairs = self.binary_chain()
         code, out = run_cli(capsys, "recognize", self.write(tmp_path, pairs))
         assert code == 0
         witness = out.split("witness split tree: ")[1]
         assert witness.count("()") == 1150
         assert witness.startswith("(2 () (2 () (2 ")
+
+    def test_deep_binary_chain_not_exact(self, capsys, tmp_path):
+        pairs = self.binary_chain()
+        dropped = pairs[:-1]
+        # the last class moved onto the offset of the class of half its
+        # modulus, which no other class of its modulus uses
+        moved = pairs[:-1] + [(pairs[-3][0], pairs[-1][1])]
+        for broken in (dropped, moved):
+            code, out = run_cli(capsys, "recognize", self.write(tmp_path, broken))
+            assert code == 4
+            assert out == "not an exact covering system\n"
 
     def test_not_exact(self, capsys, tmp_path):
         path = self.write(tmp_path, ERDOS_COVER)
@@ -174,7 +196,13 @@ class TestRecognizeAndCheck:
     def test_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 mod 0\n")
-        assert cli.run(["recognize", str(path)]) == 2
+        for command in ("recognize", "check"):
+            for arg in (str(path), str(tmp_path / "missing.txt")):
+                code = cli.run([command, arg])
+                captured = capsys.readouterr()
+                assert code == 2
+                assert captured.out == ""
+                assert len(captured.err.splitlines()) == 1
 
     def test_check(self, capsys, tmp_path):
         path = self.write(tmp_path, [(1, 4), (3, 4), (0, 6), (2, 6), (4, 6)])

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from necs import congruence as cg
@@ -28,6 +28,24 @@ def split_systems(draw):
         r = draw(st.integers(2, 4))
         sys_ = cg.r_split(sys_, target, r)
     return sys_
+
+
+@st.composite
+def mutated_split_systems(draw):
+    """(offset, modulus) pairs of a split system, kept as they are, with one
+    class dropped, or with one offset moved to a residue that no other
+    class of its modulus uses (so the result is still duplicate-free)."""
+    pairs = [(c.offset, c.modulus) for c in draw(split_systems())]
+    how = draw(st.sampled_from(["keep", "drop", "move"]))
+    if how != "keep":
+        a, n = pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+        if how == "move":
+            used = {b for b, m in pairs if m == n} | {a}
+            free = [b for b in range(n) if b not in used]
+            assume(free)
+            pairs.append((draw(st.sampled_from(free)), n))
+    assume(pairs)
+    return pairs
 
 
 class TestResidueClass:
@@ -233,6 +251,16 @@ class TestNaturality:
             witness = cg.naturality_witness(s)
             assert witness is not None
             assert tr.chi(witness) == s
+
+    @given(mutated_split_systems())
+    @settings(max_examples=80, deadline=None)
+    def test_witness_decides_exactness(self, pairs):
+        s = sys_of(pairs)
+        if brute_force_exact(pairs):
+            assert cg.naturality_witness(s) is not None
+        else:
+            with pytest.raises(cg.NotExactCoverError):
+                cg.naturality_witness(s)
 
     @given(split_systems())
     @settings(max_examples=40, deadline=None)
