@@ -246,11 +246,10 @@ def naturality_witness(c: CoveringSystem):
 
     The witness is a Tree (see necs.trees) whose leaf labels reproduce c:
     internal nodes record the contraction modulus chosen at each level,
-    and the leaves <0,1> certify that c is exact.  An empty contraction
-    piece raises NotExactCoverError; is_exact runs only at a piece of gcd
-    1, to tell an exact c (None) from a non-exact one.  Iterative, so any
-    depth is recognized: (modulus, offset) pieces wait on a stack until
-    visited, and the tree is assembled from the arities in visiting order.
+    and the leaves <0,1> certify that c is exact.  A piece of fewer classes
+    than its gcd, or an empty contraction bucket, raises NotExactCoverError;
+    is_exact runs only at a piece of gcd 1, to tell c exact (None) or not.
+    Iterative ((modulus, offset) pieces wait on a stack), so any depth works.
     """
     from . import trees  # local import; trees depends on this module
 
@@ -261,12 +260,12 @@ def naturality_witness(c: CoveringSystem):
         if piece == [(1, 0)]:
             arities.append(0)
             continue
-        # a lone class of modulus above 1 leaves empty buckets below
         g = gcd(*(m for m, _ in piece))
-        if g == 1:
-            if is_exact(c):
-                return None
+        # g divides each modulus, so the density is at most len(piece) / g
+        if len(piece) < g or g == 1 and not is_exact(c):
             raise NotExactCoverError("input does not partition the integers")
+        if g == 1:
+            return None
         p = prime_factors(g)[0]
         arities.append(p)
         todo.extend(reversed(_contract_pairs(piece, p)))

@@ -77,6 +77,15 @@ NON_NATURAL_13 = [
 
 ERDOS_COVER = [(0, 2), (0, 3), (1, 4), (3, 8), (7, 12), (23, 24)]
 
+# Not exact, with moduli far beyond the number of classes: a lone prime
+# modulus, a Mersenne prime too large to factor by trial division, and a
+# halving that leaves a lone class of modulus 10^9 + 7 one level down.
+HUGE_MODULUS_NOT_EXACT = [
+    [(0, 1_000_000_007)],
+    [(0, 2**61 - 1)],
+    [(0, 2), (1, 2_000_000_014)],
+]
+
 
 def sys_of(pairs) -> cg.CoveringSystem:
     return cg.system(*pairs)

@@ -6,7 +6,7 @@ import pytest
 
 from necs import cli
 
-from helpers import ERDOS_COVER, NON_NATURAL_13, sys_of
+from helpers import ERDOS_COVER, HUGE_MODULUS_NOT_EXACT, NON_NATURAL_13, sys_of
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,12 @@ class TestRecognizeAndCheck:
             code, out = run_cli(capsys, "recognize", self.write(tmp_path, broken))
             assert code == 4
             assert out == "not an exact covering system\n"
+
+    @pytest.mark.parametrize("pairs", HUGE_MODULUS_NOT_EXACT)
+    def test_huge_modulus_not_exact(self, capsys, tmp_path, pairs):
+        code, out = run_cli(capsys, "recognize", self.write(tmp_path, pairs))
+        assert code == 4
+        assert out == "not an exact covering system\n"
 
     def test_not_exact(self, capsys, tmp_path):
         path = self.write(tmp_path, ERDOS_COVER)

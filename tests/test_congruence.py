@@ -10,6 +10,7 @@ from necs import congruence as cg
 
 from helpers import (
     ERDOS_COVER,
+    HUGE_MODULUS_NOT_EXACT,
     NON_NATURAL_13,
     TABLE1,
     brute_force_exact,
@@ -234,6 +235,13 @@ class TestNaturality:
     def test_rejects_non_exact(self):
         with pytest.raises(cg.NotExactCoverError):
             cg.is_natural(sys_of(ERDOS_COVER))
+
+    @pytest.mark.parametrize("pairs", HUGE_MODULUS_NOT_EXACT)
+    def test_rejects_huge_moduli_at_once(self, pairs):
+        # decided by density before factoring or contracting by the gcd
+        for decide in (cg.is_natural, cg.naturality_witness):
+            with pytest.raises(cg.NotExactCoverError):
+                decide(sys_of(pairs))
 
     def test_gcd_one_size13_is_not_natural(self):
         s = sys_of(NON_NATURAL_13)
