@@ -19,7 +19,15 @@ from .congruence import (
     size_of,
     system,
 )
-from .counting import CountTable, LcmCountTable, count_size_gcd, count_size_gcd_lcm, distinct_lcm_values, lcm_value_count
+from .counting import (
+    CountTable,
+    LcmCountTable,
+    count_size_gcd,
+    count_size_gcd_lcm,
+    count_size_gcd_period,
+    distinct_lcm_values,
+    lcm_value_count,
+)
 from .enumeration import (
     EcsSearchConfig,
     SearchBudgetExceeded,

@@ -364,9 +364,9 @@ def _float_seed(kind: str, lo: float, hi: float) -> float:
 def _newton_refine(kind: str, dkind: str, seed: float, digits: int) -> int:
     """Newton iteration at escalating precision; returns the root mantissa
     at scale digits (not yet certified)."""
-    w = 18
-    x = round(seed * 10**w)
     target = digits + 6
+    w = min(18, target)  # a float seed holds about 16 digits
+    x = round(seed * 10**w)
     while True:
         w_next = min(2 * w, target)
         x *= 10 ** (w_next - w)
@@ -384,6 +384,8 @@ def _newton_refine(kind: str, dkind: str, seed: float, digits: int) -> int:
 def _certified_root(kind: str, dkind: str, lo: float, hi: float, digits: int) -> FixedReal:
     """Root of the given series with error certified by a sign change over
     the bracket [root - delta, root + delta]."""
+    if digits < 1:
+        raise ValueError(f"need digits >= 1, got {digits}")
     seed = _float_seed(kind, lo, hi)
     scale = digits + 4
     mant = _newton_refine(kind, dkind, seed, scale)
@@ -444,6 +446,8 @@ class AsymptoticConstants:
 def constants(digits: int) -> AsymptoticConstants:
     """tau, rho = M(tau), gamma = 1/rho, d1 = sqrt(-2 rho / M''(tau)),
     c = d1 / (2 sqrt(pi)), and M''(tau), all certified to <= 10^-digits."""
+    if digits < 1:
+        raise ValueError(f"need digits >= 1, got {digits}")
     inner = digits + 8
     scale = digits + 6
     tau = find_tau(inner)

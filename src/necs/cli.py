@@ -5,10 +5,11 @@ count tables, enumeration, recognition of naturality, the asymptotic
 constants, the binomial-basis polynomials, tree utilities, and a verify
 battery that re-derives the shipped golden tables.
 
-Exit codes: 0 success, 2 usage error.  `recognize` additionally uses 3
-for an exact cover that is not natural and 4 for input that is not an
-exact cover; `check` uses 4 the same way; `enumerate --ecs` uses 5 when
-its --budget runs out.  Semantic codes are results, not failures.
+Exit codes: 0 success, 2 usage error (a bad value or an unreadable file,
+reported in one stderr line).  `recognize` additionally uses 3 for an
+exact cover that is not natural and 4 for input that is not an exact
+cover; `check` uses 4 the same way; `enumerate --ecs` uses 5 when its
+--budget runs out.  Semantic codes are results, not failures.
 """
 
 from __future__ import annotations
@@ -68,14 +69,10 @@ def _default_cache(args) -> str | None:
 
 
 def _emit_count(args) -> int:
-    try:
-        if args.lcm:
-            table = ct.count_size_gcd_lcm(args.max_size, args.lcm_max)
-        else:
-            table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
-    except (ValueError, OSError) as exc:
-        print(f"count: {exc}", file=sys.stderr)
-        return 2
+    if args.lcm:
+        table = ct.count_size_gcd_lcm(args.max_size, args.lcm_max)
+    else:
+        table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
     if args.format == "csv":
         print("k,m,l,count" if args.lcm else "k,m,count")
     for *key, v in table.rows():
@@ -98,6 +95,9 @@ def _emit_enumerate(args) -> int:
         )
         systems = en.enumerate_ecs(args.size, cfg, ordered=args.format != "count-only")
     elif args.canonical == "shift":
+        if args.format == "count-only":
+            print(en.shift_class_count(args.size, args.gcd))
+            return 0
         systems = en.enumerate_shift_classes(args.size)
         if args.gcd:
             systems = (s for s in systems if cg.gcd_of(s) == args.gcd)
@@ -129,11 +129,7 @@ def _read_system(path: str, as_json: bool) -> cg.CoveringSystem:
 
 
 def _emit_recognize(args) -> int:
-    try:
-        system = _read_system(args.file, args.json)
-    except (ValueError, OSError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
+    system = _read_system(args.file, args.json)
     try:
         witness = cg.naturality_witness(system)
     except cg.NotExactCoverError:
@@ -147,12 +143,12 @@ def _emit_recognize(args) -> int:
 
 
 def _emit_check(args) -> int:
+    system = _read_system(args.file, args.json)
     try:
-        system = _read_system(args.file, args.json)
-    except (ValueError, OSError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    exact = cg.is_exact(system)
+        cg.naturality_witness(system)  # a tree or None: exact either way
+        exact = True
+    except cg.NotExactCoverError:
+        exact = False
     verdict = "exact" if exact else "not exact"
     print(
         f"{verdict}: size {cg.size_of(system)}, gcd {cg.gcd_of(system)}, lcm {cg.lcm_of(system)}"
@@ -369,7 +365,11 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input values, unusable files
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

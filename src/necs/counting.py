@@ -1,4 +1,4 @@
-"""Counting natural exact covering systems by size, gcd, and lcm.
+"""Counting natural exact covering systems by size, gcd, lcm and period.
 
 Let a(k, m) be the number of natural exact covering systems with k
 classes and gcd m.  Contracting by the full gcd puts the systems with
@@ -27,6 +27,30 @@ values alone, counts are unnecessary: reachability over (size, lcm)
 pairs suffices, because any p >= 2 systems assemble into one (with p a
 prime, every nontrivial system arises this way from the contraction by a
 prime dividing its gcd).
+
+The third ring counts systems by period, the least t > 0 with S + t = S,
+and so counts them up to translation.  A coefficient is a vector of
+counts indexed by period and multiplication lcm-convolves again, since a
+tuple of systems is fixed by t iff each of them is; only the lift is
+new.  Translating a system S of gcd n by 1 sends its contraction pieces
+(P_0, ..., P_{n-1}) to (shift(P_{n-1}, 1), P_0, ..., P_{n-2}): the pieces
+rotate, and the one that wraps around is shifted by 1.  So S is fixed by
+a translation t, with d = gcd(t, n), iff along each of the d cycles of
+the rotation the pieces are translates of one free representative, and
+that representative is fixed by t/d.  The d representatives have total
+size k d / n and globally coprime gcds, which is what the Mobius sum
+C_d(K) = sum_e mu(e) [x^K] W_e^d counts, indexed by the lcm of their
+periods (C_1(1) is the unit: the trivial pieces of the system of all
+residues mod n).  Hence, with V(k, n)[p] the number of systems of size k
+and gcd n with period p,
+
+    Fix_n(k, t) = sum_{Q | t/d} C_d(k d / n)[Q]   if (n/d) | k, else 0,
+    V(k, n)[p]  = sum_{s | rad p} mu(s) Fix_n(k, p / s).
+
+Only p = d Q can be a period, with d = gcd(p, n) and Q in the support of
+C_d(k d / n) and coprime to n/d: every piece of S is fixed by Q, so S is
+fixed by n Q and d Q | p | n Q.  An orbit of period p has p members, so
+the number of translation classes is s(k, n) = sum_p V(k, n)[p] / p.
 """
 
 from __future__ import annotations
@@ -36,8 +60,8 @@ import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import reduce
-from math import lcm
+from functools import cache, reduce
+from math import gcd, lcm
 
 from .series import mobius_upto, prime_factors
 
@@ -114,7 +138,7 @@ def count_size_gcd(max_size: int, cache_path: str | None = None) -> CountTable:
     if table is not None and table.max_size >= max_size:
         kept = {km: v for km, v in table.entries.items() if km[0] <= max_size}
         return CountTable(max_size, kept)
-    a = _fill(max_size, 1, operator.add, operator.mul, operator.mul, lambda v, n: v)
+    a = _fill(max_size, 1, operator.add, operator.mul, operator.mul, lambda sums, k, n: sums[k, n])
     table = CountTable(max_size, a)
     if cache_path:
         _save_cache(cache_path, table)
@@ -126,34 +150,78 @@ def count_size_gcd_lcm(max_size: int, lcm_max: int | None = None) -> LcmCountTab
     if max_size < 1:
         raise ValueError("need max_size >= 1")
 
-    def add(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        out = dict(u)
-        for l, c in v.items():
-            out[l] = out.get(l, 0) + c
-        return out
-
-    def mul(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+    def lift(sums, k: int, n: int) -> dict[int, int]:
         out: dict[int, int] = {}
-        for l1, c1 in u.items():
-            for l2, c2 in v.items():
-                l = OVERFLOW if OVERFLOW in (l1, l2) else lcm(l1, l2)
-                out[l] = out.get(l, 0) + c1 * c2
-        return out
-
-    def scale(u: dict[int, int], c: int) -> dict[int, int]:
-        return {l: c * v for l, v in u.items()}
-
-    def lift(u: dict[int, int], n: int) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for l, c in u.items():
+        for l, c in sums[k, n].items():
             if l != OVERFLOW:
                 l = OVERFLOW if lcm_max is not None and n * l > lcm_max else n * l
             out[l] = out.get(l, 0) + c
         return {l: c for l, c in out.items() if c}
 
-    a = _fill(max_size, {1: 1}, add, mul, scale, lift)
+    a = _fill(max_size, {1: 1}, _vec_add, _lcm_mul, _vec_scale, lift)
     entries = {(k, m, l): c for (k, m), vec in a.items() for l, c in vec.items()}
     return LcmCountTable(max_size, lcm_max, entries)
+
+
+def count_size_gcd_period(max_size: int) -> dict[tuple[int, int], dict[int, int]]:
+    """Period vectors for 1 <= m <= k <= max_size: out[k, m][p] is the
+    number of systems of size k and gcd m whose least translation period
+    is p (the least t > 0 with S + t = S).  Only nonzero (k, m) are kept.
+
+    Each count is a multiple of its period, since the systems of period p
+    fall into translation orbits of size p.  See the module docstring for
+    the lift.
+    """
+    if max_size < 1:
+        raise ValueError("need max_size >= 1")
+
+    def lift(sums, k: int, n: int) -> dict[int, int]:
+        @cache
+        def fix(t: int) -> int:  # Fix_n(k, t)
+            d = gcd(t, n)
+            if k % (n // d):
+                return 0
+            u = t // d
+            return sum(c for q, c in sums.get((k * d // n, d), {}).items() if u % q == 0)
+
+        periods = {
+            d * q
+            for d in range(1, n + 1)
+            if n % d == 0 and k % (n // d) == 0
+            for q, c in sums.get((k * d // n, d), {}).items()
+            if c and gcd(q, n // d) == 1
+        }
+        out: dict[int, int] = {}
+        for p in periods:
+            signed = [(1, 1)]  # (squarefree s | p, mu(s))
+            for r in prime_factors(p):
+                signed += [(s * r, -m) for s, m in signed]
+            v = sum(m * fix(p // s) for s, m in signed)
+            if v:
+                out[p] = v
+        return out
+
+    return _fill(max_size, {1: 1}, _vec_add, _lcm_mul, _vec_scale, lift)
+
+
+def _vec_add(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+    out = dict(u)
+    for l, c in v.items():
+        out[l] = out.get(l, 0) + c
+    return out
+
+
+def _lcm_mul(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for l1, c1 in u.items():
+        for l2, c2 in v.items():
+            l = OVERFLOW if OVERFLOW in (l1, l2) else lcm(l1, l2)
+            out[l] = out.get(l, 0) + c1 * c2
+    return out
+
+
+def _vec_scale(u: dict[int, int], c: int) -> dict[int, int]:
+    return {l: c * v for l, v in u.items()}
 
 
 def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
@@ -161,10 +229,12 @@ def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
     max_size, where nonzero (a(k, 1) = 0 for k >= 2 is left out).
 
     The ring is given by its unit (the count of the trivial system), add
-    and mul, scale(v, c) by an integer c, and lift(v, n), which turns the
-    Mobius sum for gcd n into the count of systems with gcd n.  No zero
-    element is needed: W_e has nonzero coefficients from degree e on, so
-    every sum taken here has a first term.
+    and mul, and scale(v, c) by an integer c.  lift(sums, k, n) turns the
+    Mobius sums into the count of systems of size k with gcd n, where
+    sums[K, d] = C_d(K) = sum_e mu(e) [x^K] W_e^d is filled for every
+    2 <= d <= K <= k, and sums[1, 1] = C_1(1) is the unit (C_1(K) = 0 for
+    K >= 2 is left out).  No zero element is needed: W_e has nonzero
+    coefficients from degree e on, so every sum taken here has a first term.
     """
     mu = mobius_upto(max_size)
     es = [e for e in range(1, max_size + 1) if mu[e]]
@@ -174,6 +244,7 @@ def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
         e: [None, w[e]] + [[None] * (max_size + 1) for _ in range(2, max_size // e + 1)]
         for e in es
     }
+    sums = {(1, 1): one}
     a = {(1, 1): one}
     for k in range(1, max_size + 1):
         for n in range(2, k + 1):
@@ -186,7 +257,8 @@ def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
                 products = [mul(we[i], prev[k - i]) for i in range(e, k - (n - 1) * e + 1)]
                 pw[e][n][k] = coeff = reduce(add, products)
                 terms.append(scale(coeff, mu[e]))
-            a[k, n] = lift(reduce(add, terms), n)
+            sums[k, n] = reduce(add, terms)
+            a[k, n] = lift(sums, k, n)
         for e in es:
             if e > k:
                 break

@@ -7,6 +7,14 @@ looping over compositions of k, coprime gcd tuples with nonzero counts,
 and recursively generated pieces emits every system exactly once --
 duplicate-freeness comes from the bijection, not from a dedup pass.
 
+Shift classes (orbits under translation) are listed by filtering that
+stream for the systems that are their own least translate; translation
+preserves naturality, so each class has exactly one such member.  They
+are counted without the stream: an orbit of period p has p members, so
+s(k, n) = sum_p V(k, n)[p] / p over the period vectors V that the count
+recurrence computes (counting.count_size_gcd_period, where the lemma
+behind them is stated).
+
 General exact covering systems (not necessarily natural) are found by a
 complete two-phase backtracking search.  Phase one enumerates candidate
 modulus multisets: nondecreasing, exact density sum 1/n_i = 1 (so a
@@ -37,7 +45,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from .congruence import CoveringSystem, ResidueClass, least_translate
-from .counting import CountTable, count_size_gcd
+from .counting import CountTable, count_size_gcd, count_size_gcd_period
 from .series import prime_factors
 from .trees import _compositions_colex
 
@@ -159,11 +167,17 @@ def _least_translates(k: int) -> Iterator[Flat]:
     return (f for f in _necs_stream(k, None) if least_translate(f)[0] == f)
 
 
-def shift_class_count(k: int) -> int:
-    """Number of orbits of the size-k natural systems under translation."""
+def shift_class_count(k: int, m: int | None = None) -> int:
+    """Number of orbits of the size-k natural systems (of gcd m, if given)
+    under translation: sum of V[p] / p over the period vectors V of
+    count_size_gcd_period, since an orbit of period p has p members."""
     if k < 1:
         raise ValueError("need k >= 1")
-    return sum(1 for _ in _least_translates(k))
+    if m is not None and not 1 <= m <= k:
+        raise ValueError("need 1 <= m <= k")
+    periods = count_size_gcd_period(k)
+    gcds = range(1, k + 1) if m is None else (m,)
+    return sum(c // p for n in gcds for p, c in periods.get((k, n), {}).items())
 
 
 def enumerate_shift_classes(k: int) -> Iterator[CoveringSystem]:

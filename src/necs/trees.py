@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .congruence import TRIVIAL, CoveringSystem, expand
+from .congruence import CoveringSystem, ResidueClass
 
 
 @dataclass(frozen=True)
@@ -44,31 +44,41 @@ LEAF = Tree()
 
 
 def leaf_count(t: Tree) -> int:
-    if t.is_leaf():
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    count, todo = 0, [t]
+    while todo:
+        node = todo.pop()
+        if node.is_leaf():
+            count += 1
+        todo.extend(node.children)
+    return count
 
 
 def height(t: Tree) -> int:
-    if t.is_leaf():
-        return 0
-    return 1 + max(height(c) for c in t.children)
+    best, todo = 0, [(t, 0)]
+    while todo:
+        node, depth = todo.pop()
+        best = max(best, depth)
+        todo.extend((child, depth + 1) for child in node.children)
+    return best
 
 
 def chi(t: Tree) -> CoveringSystem:
     """The covering system whose classes are the leaf labels of t.
 
-    Computed recursively: the leaf tree maps to {<0,1>}, and a root of
-    up-degree n maps to the disjoint union of the <i-1,n>-expansions of
-    its children's systems.  Always exact and natural, with exactly
-    leaf_count(t) classes.
+    The root is labelled <0,1>, and child i of a vertex <a,n> of up-degree
+    r is labelled <a + i n, r n>; equivalently, a root of up-degree n maps
+    to the disjoint union of the <i-1,n>-expansions of its children's
+    systems.  Always exact and natural, with exactly leaf_count(t)
+    classes.  Iterative, so any depth works.
     """
-    if t.is_leaf():
-        return TRIVIAL
-    n = t.up_degree
     classes = []
-    for i, child in enumerate(t.children):
-        classes.extend(expand(chi(child), i, n).classes)
+    todo = [(t, 0, 1)]  # (vertex, offset, modulus)
+    while todo:
+        node, a, n = todo.pop()
+        if node.is_leaf():
+            classes.append(ResidueClass(n, a))
+        r = node.up_degree
+        todo.extend((child, a + i * n, r * n) for i, child in enumerate(node.children))
     return CoveringSystem(classes)
 
 
@@ -181,33 +191,39 @@ def format_tree(t: Tree) -> str:
 
 
 def parse_tree(text: str) -> Tree:
-    """Parse the parenthesized format; up-degrees must match child counts."""
+    """Parse the parenthesized format; up-degrees must match child counts.
+    Iterative: open vertices wait on a stack, so any depth parses."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
-    pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
+    stack: list[list] = []  # open vertices: [up-degree, children]; None until read
+    result = None
+    for pos, tok in enumerate(tokens):
+        if result is not None:
+            raise ValueError("trailing tokens after tree")
+        if stack and stack[-1][0] is None:  # just after '('
+            if tok == ")":
+                stack.pop()
+                done = LEAF
+            elif tok.isdigit():
+                stack[-1][0] = int(tok)
+                continue
+            else:
+                raise ValueError(f"expected up-degree at token {pos}")
+        elif tok == "(":
+            stack.append([None, []])
+            continue
+        elif tok == ")" and stack:
+            degree, children = stack.pop()
+            if degree != len(children):
+                raise ValueError(f"up-degree {degree} does not match {len(children)} children")
+            done = Tree(tuple(children))
+        elif stack:
+            raise ValueError(f"expected '(' or ')' at token {pos}")
+        else:
             raise ValueError(f"expected '(' at token {pos}")
-        pos += 1
-        if pos < len(tokens) and tokens[pos] == ")":
-            pos += 1
-            return LEAF
-        if pos >= len(tokens) or not tokens[pos].isdigit():
-            raise ValueError(f"expected up-degree at token {pos}")
-        degree = int(tokens[pos])
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] == "(":
-            children.append(parse())
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ValueError("unbalanced parentheses")
-        pos += 1
-        if degree != len(children):
-            raise ValueError(f"up-degree {degree} does not match {len(children)} children")
-        return Tree(tuple(children))
-
-    result = parse()
-    if pos != len(tokens):
-        raise ValueError("trailing tokens after tree")
+        if stack:
+            stack[-1][1].append(done)
+        else:
+            result = done
+    if result is None:
+        raise ValueError("unbalanced parentheses")
     return result

@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from necs import congruence as cg
+from necs import enumeration as en
 from necs import series as se
 from necs.counting import OVERFLOW
 
@@ -60,6 +61,9 @@ A_COUNTS = [None] + [sum(row) for row in TABLE2.values()]
 #: shift-equivalence class counts s(k), k = 1..12
 SHIFT_CLASS_COUNTS = [None, 1, 1, 2, 4, 10, 26, 75, 226, 718, 2368, 8083, 28367]
 
+#: s(25), from the period recurrence (the stream cannot reach it)
+SHIFT_CLASS_COUNT_25 = 1_583_852_579_045
+
 #: distinct-lcm counts t(k), k = 1..12
 LCM_VALUE_COUNTS = [None, 1, 1, 2, 3, 6, 8, 15, 18, 31, 35, 56, 62]
 
@@ -103,6 +107,26 @@ def brute_force_exact(pairs, window=None) -> bool:
         if hits != 1:
             return False
     return True
+
+
+def shift_class_counts_stream(k):
+    """Reference s(k, m) for every gcd m, as {m: count}: stream every
+    natural system of size k and count those that are their own least
+    translate (translation preserves naturality, so one per class)."""
+    counts = {}
+    for flat in en._least_translates(k):
+        m = gcd(*(n for n, _ in flat))
+        counts[m] = counts.get(m, 0) + 1
+    return counts
+
+
+def least_period(flat):
+    """The least t > 0 with flat + t = flat, by trying the divisors of the
+    lcm in increasing order."""
+    period = lcm(*(n for n, _ in flat))
+    for t in range(1, period + 1):
+        if period % t == 0 and tuple(sorted((n, (a + t) % n) for n, a in flat)) == flat:
+            return t
 
 
 def canonical_shift_scan(c):

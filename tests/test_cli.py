@@ -6,7 +6,14 @@ import pytest
 
 from necs import cli
 
-from helpers import ERDOS_COVER, HUGE_MODULUS_NOT_EXACT, NON_NATURAL_13, sys_of
+from helpers import (
+    ERDOS_COVER,
+    HUGE_MODULUS_NOT_EXACT,
+    NON_NATURAL_13,
+    SHIFT_CLASS_COUNTS,
+    shift_class_counts_stream,
+    sys_of,
+)
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +113,17 @@ class TestEnumerateCommand:
     def test_shift_classes(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--size", "5", "--canonical", "shift", "--format", "count-only")
         assert out.strip() == "10"
+
+    def test_shift_class_counts_per_gcd(self, capsys):
+        shift = ["--canonical", "shift", "--format", "count-only"]
+        for k in range(1, 11):
+            code, out = run_cli(capsys, "enumerate", "--size", str(k), *shift)
+            assert (code, out) == (0, f"{SHIFT_CLASS_COUNTS[k]}\n")
+        for k in range(1, 9):
+            want = shift_class_counts_stream(k)
+            for m in range(1, k + 1):
+                code, out = run_cli(capsys, "enumerate", "--size", str(k), "--gcd", str(m), *shift)
+                assert (code, out) == (0, f"{want.get(m, 0)}\n"), (k, m)
 
     def test_ecs_search(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--size", "4", "--ecs", "--format", "count-only")
@@ -210,6 +228,13 @@ class TestRecognizeAndCheck:
                 assert captured.out == ""
                 assert len(captured.err.splitlines()) == 1
 
+    def test_check_deep_binary_chain(self, capsys, tmp_path):
+        pairs = self.binary_chain()
+        code, out = run_cli(capsys, "check", self.write(tmp_path, pairs))
+        assert (code, out) == (0, f"exact: size 1150, gcd 2, lcm {2**1149}\n")
+        code, out = run_cli(capsys, "check", self.write(tmp_path, pairs[:-1]))
+        assert (code, out) == (4, f"not exact: size 1149, gcd 2, lcm {2**1149}\n")
+
     def test_check(self, capsys, tmp_path):
         path = self.write(tmp_path, [(1, 4), (3, 4), (0, 6), (2, 6), (4, 6)])
         code, out = run_cli(capsys, "check", path)
@@ -218,6 +243,10 @@ class TestRecognizeAndCheck:
         path2 = self.write(tmp_path, [(0, 2), (1, 4)], "partial.txt")
         code, out = run_cli(capsys, "check", path2)
         assert code == 4
+        # exact but not natural: the witness returns None, still exact
+        path3 = self.write(tmp_path, NON_NATURAL_13, "gcd1.txt")
+        code, out = run_cli(capsys, "check", path3)
+        assert (code, out) == (0, "exact: size 13, gcd 1, lcm 30\n")
 
 
 class TestAsymptCommand:
@@ -273,6 +302,14 @@ class TestPolyAndTrees:
     def test_trees_needs_a_mode(self, capsys):
         assert cli.run(["trees"]) == 2
 
+    def test_trees_chi_deep_chain(self, capsys):
+        depth = 4999
+        code, out = run_cli(capsys, "trees", "--chi", "(2 () " * depth + "()" + ")" * depth)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == depth + 1
+        assert lines[0] == "0 mod 2" and lines[-1] == f"{2**depth - 1} mod {2**depth}"
+
 
 class TestVerify:
     def test_battery_passes(self, capsys):
@@ -284,6 +321,26 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "--which", "Am:x"],
+            ["series", "--which", "A", "--terms", "0"],
+            ["enumerate", "--size", "0"],
+            ["enumerate", "--size", "0", "--canonical", "shift", "--format", "count-only"],
+            ["trees", "--chi", "(2"],
+            ["poly", "--n", "0"],
+            ["asympt", "--digits", "-3"],
+        ],
+    )
+    def test_bad_values_exit_2_with_one_line(self, capsys, argv):
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"{argv[0]}: ")
+
     def test_unknown_flag_rejected(self):
         assert cli.run(["count", "--max-size", "3", "--bogus"]) == 2
 

@@ -6,13 +6,16 @@ from math import gcd, lcm
 import pytest
 
 from necs import counting as ct
+from necs import enumeration as en
 from necs import series as se
 
 from helpers import (
     LCM_VALUE_COUNTS,
+    SHIFT_CLASS_COUNT_25,
     TABLE2,
     count_size_gcd_lcm_rows,
     count_size_gcd_rows,
+    least_period,
     slow,
 )
 
@@ -155,6 +158,30 @@ class TestLcmReference:
         for k in range(1, 13):
             want = count_size_gcd_lcm_rows(k, lcm_max)
             assert ct.count_size_gcd_lcm(k, lcm_max).entries == want, k
+
+
+class TestSizeGcdPeriod:
+    def test_matches_least_period_of_every_system(self):
+        periods = ct.count_size_gcd_period(8)
+        for k in range(1, 9):
+            direct = {}
+            for flat in en._necs_stream(k, None):
+                key = (gcd(*(n for n, _ in flat)), least_period(flat))
+                direct[key] = direct.get(key, 0) + 1
+            got = {(m, p): c for (kk, m), vec in periods.items() if kk == k for p, c in vec.items()}
+            assert got == direct, k
+
+    def test_totals_match_gcd_table_at_25(self):
+        periods = ct.count_size_gcd_period(25)
+        table = ct.count_size_gcd(25)
+        assert {km: sum(vec.values()) for km, vec in periods.items()} == {
+            km: v for km, v in table.entries.items() if v
+        }
+        # systems of period p form orbits of p members
+        assert all(c % p == 0 for vec in periods.values() for p, c in vec.items())
+        assert sum(c // p for (k, _), vec in periods.items() if k == 25 for p, c in vec.items()) == (
+            SHIFT_CLASS_COUNT_25
+        )
 
 
 class TestDistinctLcms:

@@ -18,6 +18,7 @@ from helpers import (
     assign_offsets_smallest_uncovered,
     canonical_shift_scan,
     brute_force_exact,
+    shift_class_counts_stream,
     slow,
     sys_of,
 )
@@ -73,8 +74,20 @@ class TestNecsEnumeration:
 
 class TestShiftClasses:
     def test_published_counts_fast(self):
-        for k in range(1, 11):
+        for k in range(1, 13):
             assert en.shift_class_count(k) == SHIFT_CLASS_COUNTS[k], k
+
+    def test_counts_per_gcd_match_stream(self):
+        for k in range(1, 10):
+            want = shift_class_counts_stream(k)
+            assert sum(want.values()) == SHIFT_CLASS_COUNTS[k]
+            for m in range(1, k + 1):
+                assert en.shift_class_count(k, m) == want.get(m, 0), (k, m)
+
+    def test_validation(self):
+        for k, m in ((0, None), (3, 0), (3, 4)):
+            with pytest.raises(ValueError):
+                en.shift_class_count(k, m)
 
     def test_class_sizes_partition_the_count(self):
         for k in range(1, 7):
@@ -98,8 +111,10 @@ class TestShiftClasses:
 
     @slow
     def test_published_counts_slow(self):
-        assert en.shift_class_count(11) == SHIFT_CLASS_COUNTS[11]
-        assert en.shift_class_count(12) == SHIFT_CLASS_COUNTS[12]
+        for k in (11, 12):
+            want = shift_class_counts_stream(k)
+            assert sum(want.values()) == SHIFT_CLASS_COUNTS[k]
+            assert {m: en.shift_class_count(k, m) for m in want} == want
 
 
 class TestEcsSearch:

@@ -33,9 +33,21 @@ class TestBasics:
         assert tr.parse_tree("()") == tr.LEAF
 
     def test_parse_rejects_garbage(self):
-        for bad in ["(", "(1 ())", "(2 () () ())", "(2 () ()) ()", "2 () ()"]:
+        for bad in ["(", "(1 ())", "(2 () () ())", "(2 () ()) ()", "2 () ()", "(2 x)", "", ")"]:
             with pytest.raises(ValueError):
                 tr.parse_tree(bad)
+
+    def test_deep_chain_is_iterative(self):
+        # a binary split chain of 5,000 classes, far deeper than the
+        # interpreter's recursion limit
+        depth = 4999
+        text = "(2 () " * depth + "()" + ")" * depth
+        t = tr.parse_tree(text)
+        assert tr.format_tree(t) == text
+        assert tr.leaf_count(t) == depth + 1
+        assert tr.height(t) == depth
+        want = [(2 ** (j - 1) - 1, 2**j) for j in range(1, depth + 1)] + [(2**depth - 1, 2**depth)]
+        assert tr.chi(t) == sys_of(want)
 
 
 class TestChi:
