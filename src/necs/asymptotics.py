@@ -486,64 +486,50 @@ class RatioReport:
         return all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def _ratio_report(k_max: int, table: CountTable | None, count, target_of) -> RatioReport:
+    """Rows count(table, k) * k^(3/2) / gamma^k for k = 1..k_max against
+    target_of(constants(40)); the table is filled if it is too short."""
+    if table is None or table.max_size < k_max:
+        table = count_size_gcd(k_max)
+    cs = constants(40)
+    target = target_of(cs)
+    gamma = float(cs.gamma.value())
+    rows = []
+    for k in range(1, k_max + 1):
+        ratio = count(table, k) * k**1.5 / gamma**k
+        rows.append(RatioRow(k, ratio, abs(ratio - target)))
+    return RatioReport(target, tuple(rows))
+
+
 def ratio_check(k_max: int, table: CountTable | None = None) -> RatioReport:
     """a_k * k^(3/2) / gamma^k against its limit c, for k = 1..k_max.
 
     Counts come from the dynamic-programming table (an independent path
     from the series reversion).
     """
-    if table is None or table.max_size < k_max:
-        table = count_size_gcd(k_max)
-    cs = constants(40)
-    gamma = float(cs.gamma.value())
-    c = float(cs.c.value())
-    rows = []
-    for k in range(1, k_max + 1):
-        ratio = table.row_sum(k) * k**1.5 / gamma**k
-        rows.append(RatioRow(k, ratio, abs(ratio - c)))
-    return RatioReport(c, tuple(rows))
+    return _ratio_report(k_max, table, CountTable.row_sum, lambda cs: float(cs.c.value()))
 
 
 def gcd_ratio_check(k_max: int, m: int, table: CountTable | None = None) -> RatioReport:
     """a_{k,m} * k^(3/2) / gamma^k against m tau^(m-1) M'(tau^m) c."""
     if m < 1:
         raise ValueError("need m >= 1")
-    if table is None or table.max_size < k_max:
-        table = count_size_gcd(k_max)
-    cs = constants(40)
-    digits = 40
-    scale = digits + 6
-    tau_pow = from_fraction(1, scale)  # tau^(m-1)
-    for _ in range(m - 1):
-        tau_pow = fx_mul(tau_pow, cs.tau, scale)
-    tau_m = fx_mul(tau_pow, cs.tau, scale)  # tau^m
-    weight = fx_mul(
-        fx_mul(from_fraction(m, scale), tau_pow, scale),
-        eval_Mprime(tau_m, digits),
-        scale,
-    )
-    target = float(fx_mul(weight, cs.c, scale).value())
-    gamma = float(cs.gamma.value())
-    rows = []
-    for k in range(1, k_max + 1):
-        ratio = table.get(k, m) * k**1.5 / gamma**k
-        rows.append(RatioRow(k, ratio, abs(ratio - target)))
-    return RatioReport(target, tuple(rows))
 
+    def target(cs: AsymptoticConstants) -> float:
+        digits = 40
+        scale = digits + 6
+        tau_pow = from_fraction(1, scale)  # tau^(m-1)
+        for _ in range(m - 1):
+            tau_pow = fx_mul(tau_pow, cs.tau, scale)
+        tau_m = fx_mul(tau_pow, cs.tau, scale)  # tau^m
+        weight = fx_mul(
+            fx_mul(from_fraction(m, scale), tau_pow, scale),
+            eval_Mprime(tau_m, digits),
+            scale,
+        )
+        return float(fx_mul(weight, cs.c, scale).value())
 
-def gcd_weight_sum(m_max: int, digits: int = 30) -> FixedReal:
-    """Partial sum over 2 <= m <= m_max of m tau^(m-1) M'(tau^m); tends to 1."""
-    scale = digits + 6
-    tau = find_tau(digits + 4)
-    total = from_fraction(0, scale)
-    tau_pow = rescale(tau, scale)  # tau^(m-1) starting at m = 2
-    for m in range(2, m_max + 1):
-        tau_m = fx_mul(tau_pow, tau, scale)
-        term = fx_mul(fx_mul(from_fraction(m, scale), tau_pow, scale),
-                      eval_Mprime(tau_m, digits + 4), scale)
-        total = fx_add(total, term)
-        tau_pow = tau_m
-    return total
+    return _ratio_report(k_max, table, lambda t, k: t.get(k, m), target)
 
 
 # --- identity battery ----------------------------------------------------------
@@ -571,10 +557,6 @@ def _lambert_terms(r_up: Fraction, target: Fraction) -> int:
     while 2 * _geom_tails(m, r_up)[0] > target:
         m += 4
     return m
-
-
-def _certified_bound(x: FixedReal) -> Fraction:
-    return abs(x.value()) + x.error_bound
 
 
 def identity_checks(digits: int, points: Iterable[Fraction] | None = None) -> IdentityReport:
@@ -620,10 +602,10 @@ def identity_checks(digits: int, points: Iterable[Fraction] | None = None) -> Id
         lam_tail = 2 * _geom_tails(m_terms, r_up)[0]
         # |M'(y)| <= 1/(1-|y|)^2 <= 12 on the working disc
         deriv_tail = 12 * _geom_tails(m_terms, r_up)[1]
-        results.append(IdentityResult("lambert", label, _certified_bound(lam) + lam_tail))
-        results.append(IdentityResult("derivative-sum", label, _certified_bound(deriv) + deriv_tail))
+        results.append(IdentityResult("lambert", label, lam.magnitude_bound() + lam_tail))
+        results.append(IdentityResult("derivative-sum", label, deriv.magnitude_bound() + deriv_tail))
         if label == "tau":
             results.append(
-                IdentityResult("gcd-weights", label, _certified_bound(gcdw) + deriv_tail)
+                IdentityResult("gcd-weights", label, gcdw.magnitude_bound() + deriv_tail)
             )
     return IdentityReport(tuple(results))

@@ -98,9 +98,7 @@ def _emit_enumerate(args) -> int:
         if args.format == "count-only":
             print(en.shift_class_count(args.size, args.gcd))
             return 0
-        systems = en.enumerate_shift_classes(args.size)
-        if args.gcd:
-            systems = (s for s in systems if cg.gcd_of(s) == args.gcd)
+        systems = en.enumerate_shift_classes(args.size, args.gcd)
     else:
         systems = en.enumerate_necs(args.size, args.gcd, ordered=args.format != "count-only")
     try:
@@ -244,6 +242,8 @@ def _emit_trees(args) -> int:
 
 def _emit_verify(args) -> int:
     order = args.order
+    if order < 1:
+        raise ValueError(f"need --order >= 1, got {order}")
     failures = 0
 
     def report(name: str, ok: bool, detail: str = ""):

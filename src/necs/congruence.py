@@ -54,9 +54,6 @@ class ResidueClass:
     def __repr__(self) -> str:
         return f"<{self.offset},{self.modulus}>"
 
-    def contains(self, x: int) -> bool:
-        return x % self.modulus == self.offset
-
     def intersects(self, other: "ResidueClass") -> bool:
         """Two residue classes meet iff their offsets agree mod gcd of moduli."""
         g = gcd(self.modulus, other.modulus)
@@ -117,15 +114,10 @@ class CoveringSystem:
             out.append(c.offset)
         return tuple(out)
 
-    @staticmethod
-    def of(*pairs: tuple[int, int]) -> "CoveringSystem":
-        """Build from (offset, modulus) pairs."""
-        return CoveringSystem(ResidueClass(n, a) for a, n in pairs)
-
 
 def system(*pairs: tuple[int, int]) -> CoveringSystem:
     """Covering system from (offset, modulus) pairs, e.g. system((0,2),(1,2))."""
-    return CoveringSystem.of(*pairs)
+    return CoveringSystem(ResidueClass(n, a) for a, n in pairs)
 
 
 def size_of(c: CoveringSystem) -> int:
@@ -364,7 +356,10 @@ def format_system_text(c: CoveringSystem) -> str:
 
 
 def parse_system_json(text: str) -> CoveringSystem:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, list) or not data:
         raise ValueError("expected a nonempty JSON array of [a, n] pairs")
     classes = []
@@ -372,7 +367,8 @@ def parse_system_json(text: str) -> CoveringSystem:
         if not (isinstance(item, list) and len(item) == 2):
             raise ValueError(f"expected [a, n] pair, got {item!r}")
         a, n = item
-        if not (isinstance(a, int) and isinstance(n, int)) or n < 1 or not 0 <= a < n:
+        # bool is a subclass of int, but true and false are not numbers
+        if not (type(a) is int and type(n) is int) or n < 1 or not 0 <= a < n:
             raise ValueError(f"need integers with 0 <= a < n, got {item!r}")
         classes.append(ResidueClass(n, a))
     return CoveringSystem(classes)

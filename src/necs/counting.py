@@ -16,17 +16,15 @@ a(k, k) = 1 comes out of the sum).  For n >= 2 the coefficient
 [x^j] W_e^n are kept from one row k to the next: row k costs one
 convolution entry per (e, n) pair, about O(K^3 log K) for the table up
 to K.  Row sums reproduce the reversion of the Mobius series by an
-independent route.
+independent route, which is also how a cached table is checked when it
+is read back.
 
 The recurrence is written once, over a coefficient ring.  Plain integers
 give a(k, m).  Refining by lcm, a coefficient is a vector of counts
 indexed by lcm value, multiplication lcm-convolves, and the count for
 gcd n lifts each lcm l to n * l, since the lcm of an assembled system is
-n times the lcm of its pieces' lcms.  For the set of attainable lcm
-values alone, counts are unnecessary: reachability over (size, lcm)
-pairs suffices, because any p >= 2 systems assemble into one (with p a
-prime, every nontrivial system arises this way from the contraction by a
-prime dividing its gcd).
+n times the lcm of its pieces' lcms.  The lcm values attained at size k
+are the support of row k of that table.
 
 The third ring counts systems by period, the least t > 0 with S + t = S,
 and so counts them up to translation.  A coefficient is a vector of
@@ -63,7 +61,7 @@ from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import gcd, lcm
 
-from .series import mobius_upto, prime_factors
+from .series import A_series, mobius_upto, prime_factors
 
 #: lcm bucket key for counts whose lcm exceeded the configured cap.
 OVERFLOW = -1
@@ -267,42 +265,11 @@ def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
 
 
 def distinct_lcm_values(k: int) -> set[int]:
-    """The lcm values attained by natural exact covering systems of size k.
-
-    Reachability only, no counts.  A system of size > 1 contracts by any
-    prime p dividing its gcd into p smaller systems; conversely any p
-    systems with sizes summing to k assemble into one of size k whose lcm
-    is p times the lcm of the piece lcms.  So attainable (size, lcm)
-    pairs are generated by t-fold combinations of smaller pairs, read off
-    at prime t.
-    """
+    """The lcm values attained by natural exact covering systems of size k:
+    the support of row k of count_size_gcd_lcm(k)."""
     if k < 1:
         raise ValueError("need k >= 1")
-    attained: dict[int, set[int]] = {1: {1}}  # size -> attainable lcms
-    for size in range(2, k + 1):
-        pieces = [(s, l) for s, ls in attained.items() for l in ls]
-        primes = [t for t in range(2, size + 1) if prime_factors(t) == [t]]
-        found: set[int] = set()
-        # combos = t-fold combinations (total size, lcm of lcms); prefix work
-        # is shared across the different primes t.
-        combos: set[tuple[int, int]] = {(s, l) for s, l in pieces if s < size}
-        for t in range(2, primes[-1] + 1):
-            nxt: set[tuple[int, int]] = set()
-            is_final = t in primes
-            for s, l in combos:
-                for sj, lj in pieces:
-                    s2 = s + sj
-                    if s2 > size:
-                        continue
-                    l2 = lcm(l, lj)
-                    if s2 == size:
-                        if is_final:
-                            found.add(t * l2)
-                    else:
-                        nxt.add((s2, l2))
-            combos = nxt
-        attained[size] = found
-    return attained[k]
+    return {l for (size, _, l) in count_size_gcd_lcm(k).entries if size == k}
 
 
 def lcm_value_count(k: int) -> int:
@@ -319,7 +286,7 @@ def _load_cache(path: str) -> CountTable | None:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except ValueError:  # not JSON, or not UTF-8
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
             data = None
     if not (
         isinstance(data, dict)
@@ -327,8 +294,20 @@ def _load_cache(path: str) -> CountTable | None:
         and data.get("version") == _CACHE_VERSION
     ):
         raise ValueError(f"unrecognized cache format in {path}")
-    entries = {(int(k), int(m)): int(v) for k, m, v in data["counts"]}
-    return CountTable(int(data["max_size"]), entries)
+    try:
+        max_size = int(data["max_size"])
+        entries = {(int(k), int(m)): int(v) for k, m, v in data["counts"]}
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"malformed count cache {path}") from None
+    # each row of a valid table is nonempty, so max_size <= len(entries),
+    # which keeps the A_series check below proportional to the file
+    if not 1 <= max_size <= len(entries) or any(not 1 <= m <= k <= max_size for k, m in entries):
+        raise ValueError(f"count cache {path} has entries outside 1 <= m <= k <= {max_size}")
+    table = CountTable(max_size, entries)
+    a = A_series(max_size)
+    if any(table.row_sum(k) != a[k] for k in range(1, max_size + 1)):
+        raise ValueError(f"count cache {path} disagrees with the reversion of the Mobius series")
+    return table
 
 
 def _save_cache(path: str, table: CountTable) -> None:

@@ -9,7 +9,8 @@ duplicate-freeness comes from the bijection, not from a dedup pass.
 
 Shift classes (orbits under translation) are listed by filtering that
 stream for the systems that are their own least translate; translation
-preserves naturality, so each class has exactly one such member.  They
+preserves naturality and the gcd, so each class has exactly one such
+member, and the classes of one gcd need only that gcd's stream.  They
 are counted without the stream: an orbit of period p has p members, so
 s(k, n) = sum_p V(k, n)[p] / p over the period vectors V that the count
 recurrence computes (counting.count_size_gcd_period, where the lemma
@@ -130,15 +131,17 @@ class _NecsGenerator:
             pieces.pop()
 
 
-def _necs_stream(k: int, m: int | None, table: CountTable | None = None) -> Iterator[Flat]:
-    if table is None:
-        table = count_size_gcd(k)
-    gen = _NecsGenerator(table)
-    if m is not None:
-        yield from gen.generate(k, m)
-    else:
-        for mm in range(1, k + 1):
-            yield from gen.generate(k, mm)
+def _check_size_gcd(k: int, m: int | None) -> None:
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if m is not None and not 1 <= m <= k:
+        raise ValueError("need 1 <= m <= k")
+
+
+def _necs_stream(k: int, m: int | None) -> Iterator[Flat]:
+    gen = _NecsGenerator(count_size_gcd(k))
+    for mm in range(1, k + 1) if m is None else (m,):
+        yield from gen.generate(k, mm)
 
 
 def enumerate_necs(
@@ -151,10 +154,7 @@ def enumerate_necs(
     emitted in canonical lexicographic order; ordered=False streams in
     the deterministic recursion order with O(depth) memory.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if m is not None and not 1 <= m <= k:
-        raise ValueError("need 1 <= m <= k")
+    _check_size_gcd(k, m)
     flats: Iterable[Flat] = _necs_stream(k, m)
     if ordered:
         flats = sorted(flats)
@@ -162,28 +162,28 @@ def enumerate_necs(
         yield _to_system(flat)
 
 
-def _least_translates(k: int) -> Iterator[Flat]:
-    # translation preserves naturality, so each shift class has one member here
-    return (f for f in _necs_stream(k, None) if least_translate(f)[0] == f)
+def _least_translates(k: int, m: int | None = None) -> Iterator[Flat]:
+    # translation preserves naturality and the gcd, so each shift class of
+    # gcd m has one member here
+    return (f for f in _necs_stream(k, m) if least_translate(f)[0] == f)
 
 
 def shift_class_count(k: int, m: int | None = None) -> int:
     """Number of orbits of the size-k natural systems (of gcd m, if given)
     under translation: sum of V[p] / p over the period vectors V of
     count_size_gcd_period, since an orbit of period p has p members."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if m is not None and not 1 <= m <= k:
-        raise ValueError("need 1 <= m <= k")
+    _check_size_gcd(k, m)
     periods = count_size_gcd_period(k)
     gcds = range(1, k + 1) if m is None else (m,)
     return sum(c // p for n in gcds for p, c in periods.get((k, n), {}).items())
 
 
-def enumerate_shift_classes(k: int) -> Iterator[CoveringSystem]:
-    """One representative per shift class: the lexicographically least
+def enumerate_shift_classes(k: int, m: int | None = None) -> Iterator[CoveringSystem]:
+    """One representative per shift class of the size-k natural systems (of
+    gcd m, if given, streaming only that gcd): the lexicographically least
     translate, emitted in canonical lexicographic order."""
-    for flat in sorted(_least_translates(k)):
+    _check_size_gcd(k, m)
+    for flat in sorted(_least_translates(k, m)):
         yield _to_system(flat)
 
 
@@ -591,7 +591,4 @@ def enumerate_ecs(
 
 def count_ecs(k: int, config: EcsSearchConfig | None = None) -> int:
     """Number of exact covering systems of size k (honors config bounds)."""
-    total = 0
-    for _ in enumerate_ecs(k, config):
-        total += 1
-    return total
+    return sum(1 for _ in enumerate_ecs(k, config, ordered=False))

@@ -148,27 +148,6 @@ def _trees_with_composition(comp: tuple[int, ...]) -> Iterator[Tree]:
     yield from rec(0, ())
 
 
-def tree_count(k: int) -> int:
-    """Number of trees with k leaves (Schroder number), by direct recursion
-    with memoization; an independent check against the series expansion."""
-    memo = {1: 1}
-
-    def count(m: int) -> int:
-        if m in memo:
-            return memo[m]
-        total = 0
-        for r in range(2, m + 1):
-            for comp in _compositions_colex(m, r):
-                prod = 1
-                for c in comp:
-                    prod *= count(c)
-                total += prod
-        memo[m] = total
-        return total
-
-    return count(k)
-
-
 # --- parenthesized format ----------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 from necs import congruence as cg
 from necs import enumeration as en
 from necs import series as se
+from necs import trees as tr
 from necs.counting import OVERFLOW
 
 slow = pytest.mark.skipif(
@@ -283,3 +284,61 @@ def _lcm_power_coeff(w, n, k):
                         out[l] = out.get(l, 0) + v1 * v2
         cur = nxt
     return cur[k]
+
+
+def distinct_lcm_values_reachability(k):
+    """Reference lcm values of the natural systems of size k, by reachability
+    over (size, lcm) pairs, without counts.
+
+    A system of size > 1 contracts by any prime p dividing its gcd into p
+    smaller systems; conversely any p systems with sizes summing to k
+    assemble into one of size k whose lcm is p times the lcm of the piece
+    lcms.  So attainable (size, lcm) pairs are generated by t-fold
+    combinations of smaller pairs, read off at prime t.
+    """
+    attained = {1: {1}}  # size -> attainable lcms
+    for size in range(2, k + 1):
+        pieces = [(s, l) for s, ls in attained.items() for l in ls]
+        primes = [t for t in range(2, size + 1) if se.prime_factors(t) == [t]]
+        found = set()
+        # combos = t-fold combinations (total size, lcm of lcms); prefix work
+        # is shared across the different primes t.
+        combos = {(s, l) for s, l in pieces if s < size}
+        for t in range(2, primes[-1] + 1):
+            nxt = set()
+            is_final = t in primes
+            for s, l in combos:
+                for sj, lj in pieces:
+                    s2 = s + sj
+                    if s2 > size:
+                        continue
+                    l2 = lcm(l, lj)
+                    if s2 == size:
+                        if is_final:
+                            found.add(t * l2)
+                    else:
+                        nxt.add((s2, l2))
+            combos = nxt
+        attained[size] = found
+    return attained[k]
+
+
+def tree_count(k):
+    """Reference number of trees with k leaves (Schroder number), by direct
+    recursion over root up-degrees and child leaf-count compositions."""
+    memo = {1: 1}
+
+    def count(m):
+        if m in memo:
+            return memo[m]
+        total = 0
+        for r in range(2, m + 1):
+            for comp in tr._compositions_colex(m, r):
+                prod = 1
+                for c in comp:
+                    prod *= count(c)
+                total += prod
+        memo[m] = total
+        return total
+
+    return count(k)

@@ -209,10 +209,6 @@ class TestDiagnostics:
         assert abs(trivial.target) < 1e-40  # the weight carries a factor M'(tau)
         assert all(r.ratio == 0 for r in trivial.rows if r.k >= 2)
 
-    def test_gcd_weights_sum_to_one(self):
-        total = asym.gcd_weight_sum(80, 30)
-        assert abs(total.value() - 1) < Fraction(1, 10**12)
-
     def test_identity_residuals(self):
         rep = asym.identity_checks(35)
         names = {(r.name, r.point) for r in rep.results}

@@ -89,6 +89,31 @@ class TestCountCommand:
         assert str(path) in captured.err
         assert path.read_text() == text  # left as it was
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["counts"].__setitem__(5, [4, 3, "999"]),  # a(4, 3) = 3 in the file
+            lambda d: d["counts"].append([3, 5, "0"]),  # gcd above the size
+            lambda d: d["counts"].append([7, 2, "0"]),  # size above max_size
+            lambda d: d.__setitem__("max_size", 7),  # a row missing
+            lambda d: d.__setitem__("counts", [[1, 1]]),  # not a [k, m, count] triple
+        ],
+    )
+    def test_edited_cache_is_a_usage_error(self, capsys, tmp_path, edit):
+        path = tmp_path / "c.json"
+        assert cli.run(["count", "--max-size", "6", "--cache", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_text())
+        assert data["counts"][5] == [4, 3, "3"]
+        edit(data)
+        path.write_text(json.dumps(data))
+        code = cli.run(["count", "--max-size", "5", "--cache", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert str(path) in captured.err
+
 
 class TestEnumerateCommand:
     def test_lines(self, capsys):
@@ -220,8 +245,12 @@ class TestRecognizeAndCheck:
     def test_invalid_input(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 mod 0\n")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        bools = tmp_path / "bools.json"
+        bools.write_text("[[false, true]]")
         for command in ("recognize", "check"):
-            for arg in (str(path), str(tmp_path / "missing.txt")):
+            for arg in (str(path), str(tmp_path / "missing.txt"), str(deep), str(bools)):
                 code = cli.run([command, arg])
                 captured = capsys.readouterr()
                 assert code == 2
@@ -331,6 +360,8 @@ class TestUsage:
             ["trees", "--chi", "(2"],
             ["poly", "--n", "0"],
             ["asympt", "--digits", "-3"],
+            ["verify", "--order", "0"],
+            ["verify", "--order", "-1"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):

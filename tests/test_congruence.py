@@ -1,5 +1,6 @@
 """Residue classes, exactness, expansion/split/contraction, naturality."""
 
+import json
 import random
 
 import pytest
@@ -385,3 +386,55 @@ class TestTextFormats:
             cg.parse_system_json("[]")
         with pytest.raises(ValueError):
             cg.parse_system_json("[[3, 2]]")
+        with pytest.raises(ValueError):
+            cg.parse_system_json("[[false, true]]")  # bool is an int subclass
+        with pytest.raises(ValueError):
+            cg.parse_system_json("[" * 100_000 + "]" * 100_000)  # deeper than the recursion limit
+
+
+# near-valid inputs: mostly classes a mod n with 0 <= a < n <= 12, and one
+# pair in ten, one word in ten or one JSON item in five out of range or
+# of the wrong kind
+OFFSET_MODULUS = st.integers(0, 9).flatmap(
+    lambda r: st.integers(1, 12).flatmap(lambda n: st.tuples(st.integers(0, n - 1), st.just(n)))
+    if r
+    else st.tuples(st.integers(-1, 13), st.integers(-1, 12))
+)
+SYSTEM_LINES = st.lists(
+    st.tuples(OFFSET_MODULUS, st.sampled_from(["mod"] * 9 + ["modulo"]), st.sampled_from(["", " # c"])).map(
+        lambda t: f"{t[0][0]} {t[1]} {t[0][1]}{t[2]}"
+    ),
+    max_size=6,
+).map("\n".join)
+ODD_ITEMS = st.lists(st.integers(0, 3) | st.booleans() | st.floats(0, 3), max_size=3)
+JSON_PAIRS = st.lists(
+    st.integers(0, 4).flatmap(lambda r: OFFSET_MODULUS.map(list) if r else ODD_ITEMS), max_size=6
+).map(json.dumps)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=20,
+).map(json.dumps)
+
+
+class TestParserFuzz:
+    """Each parser either rejects its input with ValueError or returns a
+    value that its formatter writes back to the same value."""
+
+    @given(SYSTEM_LINES | st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_text(self, text):
+        try:
+            s = cg.parse_system_text(text)
+        except ValueError:
+            return
+        assert cg.parse_system_text(cg.format_system_text(s)) == s
+
+    @given(JSON_PAIRS | JSON_VALUES | st.text(max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_json(self, text):
+        try:
+            s = cg.parse_system_json(text)
+        except ValueError:
+            return
+        assert cg.parse_system_json(cg.format_system_json(s)) == s

@@ -1,4 +1,4 @@
-"""Count tables by size/gcd/lcm and the distinct-lcm reachability."""
+"""Count tables by size/gcd/lcm/period and the distinct lcm values."""
 
 from itertools import product
 from math import gcd, lcm
@@ -15,6 +15,7 @@ from helpers import (
     TABLE2,
     count_size_gcd_lcm_rows,
     count_size_gcd_rows,
+    distinct_lcm_values_reachability,
     least_period,
     slow,
 )
@@ -190,10 +191,8 @@ class TestDistinctLcms:
             assert ct.lcm_value_count(k) == LCM_VALUE_COUNTS[k], k
 
     def test_matches_lcm_table_support(self):
-        t = ct.count_size_gcd_lcm(9)
-        for k in range(1, 10):
-            support = {l for (kk, _, l) in t.entries if kk == k}
-            assert ct.distinct_lcm_values(k) == support
+        for k in range(1, 15):
+            assert ct.distinct_lcm_values(k) == distinct_lcm_values_reachability(k), k
 
     def test_small_sets(self):
         assert ct.distinct_lcm_values(1) == {1}
@@ -207,4 +206,7 @@ class TestSlowExtensions:
         t = ct.count_size_gcd_lcm(13)
         marg = t.marginal()
         assert all(marg.get(k, m) == table13.get(k, m) for k in range(1, 14) for m in range(1, k + 1))
-        assert {l for (kk, _, l) in t.entries if kk == 13} == ct.distinct_lcm_values(13)
+        assert {l for (kk, _, l) in t.entries if kk == 13} == distinct_lcm_values_reachability(13)
+
+    def test_distinct_lcms_eighteen(self):
+        assert ct.distinct_lcm_values(18) == distinct_lcm_values_reachability(18)

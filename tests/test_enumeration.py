@@ -102,6 +102,15 @@ class TestShiftClasses:
                 assert cg.lcm_of(canon) % len(members) == 0
                 assert all(cg.lcm_of(m) == cg.lcm_of(canon) for m in members)
 
+    def test_listing_per_gcd_is_the_gcd_subset(self):
+        for k in range(1, 9):
+            everything = list(en.enumerate_shift_classes(k))
+            for m in range(1, k + 1):
+                want = [s for s in everything if cg.gcd_of(s) == m]
+                assert list(en.enumerate_shift_classes(k, m)) == want, (k, m)
+        with pytest.raises(ValueError):
+            next(en.enumerate_shift_classes(3, 4))
+
     def test_representatives_are_canonical(self):
         reps = list(en.enumerate_shift_classes(5))
         assert len(reps) == SHIFT_CLASS_COUNTS[5]
@@ -151,6 +160,10 @@ class TestEcsSearch:
                 found += 1
         assert found > 0
         assert f"after 1024 nodes and {found} solutions" in str(info.value)
+
+    def test_counts_equal_natural_counts(self):
+        for k in range(1, 8):
+            assert en.count_ecs(k) == A_COUNTS[k], k
 
     def test_trivial_cases(self):
         assert list(en.enumerate_ecs(1)) == [cg.TRIVIAL]

@@ -1,12 +1,26 @@
 """Split trees, the leaf-label map onto natural systems, and enumeration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from necs import congruence as cg
 from necs import series as se
 from necs import trees as tr
 
-from helpers import SCHROEDER, slow, sys_of
+from helpers import SCHROEDER, slow, sys_of, tree_count
+
+# near-valid trees: 0 to 4 children per vertex, and an up-degree that
+# mostly matches the child count
+TREE_TEXTS = st.recursive(
+    st.just("()"),
+    lambda inner: st.lists(inner, max_size=4).flatmap(
+        lambda kids: st.sampled_from([len(kids)] * 4 + [0, 1, 2, 3, 4]).map(
+            lambda d: "(" + " ".join([str(d)] + kids) + ")"
+        )
+    ),
+    max_leaves=12,
+)
 
 FIGURE_TREE = "(3 (3 () (2 () ()) ()) () (2 () (3 (2 () ()) () ())))"
 
@@ -36,6 +50,15 @@ class TestBasics:
         for bad in ["(", "(1 ())", "(2 () () ())", "(2 () ()) ()", "2 () ()", "(2 x)", "", ")"]:
             with pytest.raises(ValueError):
                 tr.parse_tree(bad)
+
+    @given(TREE_TEXTS | st.text(alphabet="() 0123456789x", max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_parse_rejects_or_round_trips(self, text):
+        try:
+            t = tr.parse_tree(text)
+        except ValueError:
+            return
+        assert tr.parse_tree(tr.format_tree(t)) == t
 
     def test_deep_chain_is_iterative(self):
         # a binary split chain of 5,000 classes, far deeper than the
@@ -145,8 +168,10 @@ class TestEnumeration:
             assert all(tr.leaf_count(x) == k for x in trees)
 
     def test_direct_count_oracle(self):
-        for k in range(1, 10):
-            assert tr.tree_count(k) == SCHROEDER[k]
+        t = se.schroeder_series(12)
+        for k in range(1, 13):
+            assert tree_count(k) == t[k]
+        assert [tree_count(k) for k in range(1, 11)] == SCHROEDER[1:]
 
     def test_four_leaves_image(self):
         trees = list(tr.enumerate_trees(4))
