@@ -89,21 +89,22 @@ def _emit_enumerate(args) -> int:
     if args.gcd is not None and not 1 <= args.gcd <= args.size:
         print(f"--gcd must be between 1 and --size ({args.size}), got {args.gcd}", file=sys.stderr)
         return 2
+    count_only = args.format == "count-only"
     if args.ecs:
         cfg = en.EcsSearchConfig(
             max_modulus=args.max_modulus, budget_seconds=args.budget, gcd=args.gcd
         )
-        systems = en.enumerate_ecs(args.size, cfg, ordered=args.format != "count-only")
+        systems = en.enumerate_ecs(args.size, cfg)
     elif args.canonical == "shift":
-        if args.format == "count-only":
+        if count_only:
             print(en.shift_class_count(args.size, args.gcd))
             return 0
         systems = en.enumerate_shift_classes(args.size, args.gcd)
     else:
-        systems = en.enumerate_necs(args.size, args.gcd, ordered=args.format != "count-only")
+        systems = en.enumerate_necs(args.size, args.gcd, ordered=not count_only)
     try:
-        if args.format == "count-only":
-            print(sum(1 for _ in systems))
+        if count_only:
+            print(en.count_ecs(args.size, cfg) if args.ecs else sum(1 for _ in systems))
         elif args.format == "json":
             print(json.dumps([[[c.offset, c.modulus] for c in s] for s in systems]))
         else:
@@ -165,6 +166,8 @@ def _fixed_json(x: asym.FixedReal) -> dict:
 
 
 def _emit_asympt(args) -> int:
+    if args.ratios < 0:
+        raise ValueError(f"need --ratios >= 0, got {args.ratios}")
     d = args.digits
     cs = asym.constants(d)
     values = dict(cs.as_dict())

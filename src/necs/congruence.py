@@ -355,6 +355,13 @@ def format_system_text(c: CoveringSystem) -> str:
     return "\n".join(f"{cl.offset} mod {cl.modulus}" for cl in c.classes) + "\n"
 
 
+def _clipped_repr(item, limit: int = 60) -> str:
+    """repr(item), cut to its first `limit` characters plus '...' if longer,
+    so that an error message stays one short line."""
+    text = repr(item)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
 def parse_system_json(text: str) -> CoveringSystem:
     try:
         data = json.loads(text)
@@ -365,11 +372,11 @@ def parse_system_json(text: str) -> CoveringSystem:
     classes = []
     for item in data:
         if not (isinstance(item, list) and len(item) == 2):
-            raise ValueError(f"expected [a, n] pair, got {item!r}")
+            raise ValueError(f"expected [a, n] pair, got {_clipped_repr(item)}")
         a, n = item
         # bool is a subclass of int, but true and false are not numbers
         if not (type(a) is int and type(n) is int) or n < 1 or not 0 <= a < n:
-            raise ValueError(f"need integers with 0 <= a < n, got {item!r}")
+            raise ValueError(f"need integers with 0 <= a < n, got {_clipped_repr(item)}")
         classes.append(ResidueClass(n, a))
     return CoveringSystem(classes)
 

@@ -147,6 +147,8 @@ def count_size_gcd_lcm(max_size: int, lcm_max: int | None = None) -> LcmCountTab
     """Fill the (size, gcd, lcm) table for 1 <= m <= k <= max_size."""
     if max_size < 1:
         raise ValueError("need max_size >= 1")
+    if lcm_max is not None and lcm_max < 1:
+        raise ValueError(f"need lcm_max >= 1, got {lcm_max}")
 
     def lift(sums, k: int, n: int) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -25,8 +25,13 @@ modulus factor), and consistent with the residue strata mod each prime:
 the terms p/n over p-divisible moduli must split into p equal groups,
 and the classes of any divisibility-maximal modulus form a vanishing
 root-of-unity sum, so their multiplicity is a combination of its prime
-factors.  Phase two solves, for each multiset with lcm L, an exact cover
-with multiplicities: the points of Z/L are the items, the classes a mod n
+factors.  It runs in integer arithmetic: the budget is a reduced
+fraction of two ints, the stratum state one int pair per prime, and the
+candidate moduli of a node a bitset over the admissible values (whose
+primes are at most k), cut down by the prime-sharing rule and by the
+stratum bounds of the primes that a candidate does not have.  Phase two
+solves, for each multiset with lcm L, an exact cover with
+multiplicities: the points of Z/L are the items, the classes a mod n
 the options, and each modulus is used as often as the multiset holds it.
 It branches on the uncovered point with the fewest classes that can
 still cover it, so dead points end a branch and forced points cost no
@@ -39,10 +44,9 @@ pairs; CoveringSystem objects are built only at the public boundary.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .congruence import CoveringSystem, ResidueClass, least_translate
@@ -200,17 +204,22 @@ class EcsSearchConfig:
     restricts branching to moduli with at least two distinct prime
     factors, since any prime-power modulus forces its prime into every
     other modulus and hence into the gcd.  gcd=m>=2 restricts branching
-    to multiples of m.  budget_seconds aborts the search distinctly via
-    SearchBudgetExceeded.
+    to multiples of m.  max_modulus below 1 raises ValueError.
+    budget_seconds aborts the search distinctly via SearchBudgetExceeded;
+    both phases check the deadline every 1024 search nodes.
     """
 
     max_modulus: int | None = None
     budget_seconds: float | None = None
     gcd: int | None = None
 
+    def __post_init__(self):
+        if self.max_modulus is not None and self.max_modulus < 1:
+            raise ValueError(f"need max_modulus >= 1, got {self.max_modulus}")
+
 
 def _modulus_multisets(
-    k: int, max_mod: int, admissible
+    k: int, max_mod: int, admissible, tick=lambda: None
 ) -> Iterator[tuple[int, ...]]:
     """Nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
     that could be the moduli of an exact cover.
@@ -222,162 +231,183 @@ def _modulus_multisets(
     non-coprime, and the largest modulus of an exact cover occurs at
     least twice (at a primitive root of unity of the top modulus, the
     offsets of its classes form a vanishing sum, which needs at least two
-    terms).
+    terms).  All arithmetic is on integers; tick() is called once per
+    search node (a prefix of at least one modulus).
     """
     if k == 1:
         yield (1,)
         return
     if k == 2:
-        yield (2, 2)
+        if max_mod >= 2:
+            yield (2, 2)
         return
-    values = [n for n in range(2, max_mod + 1) if admissible(n)]
-    admissible_set = set(values)
-    factors = {n: prime_factors(n) for n in values}
+    # Every prime factor p of a modulus is at most k.  A class whose modulus
+    # is prime to p meets every residue mod p with the same density, so the
+    # classes with p-divisible moduli, each inside one residue, fill every
+    # residue with the same positive density: at least one class per
+    # residue, p classes in all.  (The stratum and partition checks below
+    # reject every other modulus, so dropping them leaves the search as it
+    # is.)
+    smooth = [1]
+    for p in range(2, k + 1):
+        if prime_factors(p) == [p]:
+            for s in smooth[:]:
+                while s * p <= max_mod:
+                    s *= p
+                    smooth.append(s)
+    values = sorted(n for n in smooth if n >= 2 and admissible(n))
+    index = {n: i for i, n in enumerate(values)}
+    factors = {n: tuple(prime_factors(n)) for n in values}
+    # divides[p]: bitset of the indices of the values divisible by p
+    divides: dict[int, int] = {}
+    for i, n in enumerate(values):
+        for p in factors[n]:
+            divides[p] = divides.get(p, 0) | 1 << i
+    sharing_memo: dict[tuple[int, ...], int] = {}
 
-    def compatible(n: int, distinct: list[int]) -> bool:
-        for m in distinct:
-            if gcd(n, m) == 1:
-                return False
-        return True
+    def sharing(n: int) -> int:
+        """Bitset of the indices of the values not coprime to n."""
+        primes = factors[n]
+        got = sharing_memo.get(primes)
+        if got is None:
+            got = 0
+            for p in primes:
+                got |= divides[p]
+            sharing_memo[primes] = got
+        return got
 
-    # Per-prime stratum state: for p dividing some chosen modulus,
-    # strata[p] = [S', M] with S' the chosen density on moduli not
-    # divisible by p and M the largest p/n over chosen p-divisible n.
-    # Within each residue j mod p the p-divisible classes of an exact
-    # cover sum to exactly R_p = 1 - S'_final, so M <= 1 - S' must hold
-    # already for the chosen prefix (S' only grows).
-    strata: dict[int, list[Fraction]] = {}
-
-    def push_strata(n: int, chosen_density: Fraction) -> list | None:
-        """Update stratum state for modulus n; None means infeasible
-        (state already rolled back), else an undo token."""
-        undo: list = []
-        d = Fraction(1, n)
-        fs = factors[n] if n in factors else prime_factors(n)
-        ok = True
-        for p in fs:
-            entry = strata.get(p)
-            if entry is None:
-                # every earlier modulus missed p
-                entry = [chosen_density, Fraction(0)]
-                strata[p] = entry
-                undo.append((p, None, None))
-            term = Fraction(p, n)
-            if term > entry[1]:
-                undo.append((p, 1, entry[1]))
-                entry[1] = term
-            if entry[1] > 1 - entry[0]:
-                ok = False
-        if ok:
-            fset = set(fs)
-            for p, entry in strata.items():
-                if p in fset:
-                    continue
-                undo.append((p, 0, entry[0]))
-                entry[0] += d
-                if entry[1] > 1 - entry[0]:
-                    ok = False
-        if not ok:
-            pop_strata(undo)
-            return None
-        return undo
-
-    def pop_strata(undo: list) -> None:
-        for p, slot, old in reversed(undo):
-            if slot is None:
-                del strata[p]
-            else:
-                strata[p][slot] = old
+    # Per-prime stratum state.  Within each residue j mod p the p-divisible
+    # classes of an exact cover have density exactly R_p = 1 - S'_p, with
+    # S'_p the density on moduli prime to p, so the largest term p/n over
+    # chosen p-divisible n, M_p, obeys M_p <= 1 - S'_p already for every
+    # prefix (S'_p only grows).  With the remaining budget r = 1 - (chosen
+    # density) and T_p the chosen density on p-divisible moduli this reads
+    # M_p - T_p <= r.  Moduli come nondecreasing, so M_p = p/n for the first
+    # p-divisible n, and the slack M_p - T_p changes only when p divides the
+    # new modulus.  slack[p] = (a, b) holds it as a/b, where b is a multiple
+    # of every chosen p-divisible modulus.
+    slack: dict[int, tuple[int, int]] = {}
 
     def strata_partition_ok(moduli: list[int]) -> bool:
         """Exact per-prime feasibility: for each prime p, the terms p/n over
         p-divisible moduli must split into p groups, one per residue class
-        mod p, each summing exactly R_p = 1 - sum of 1/n over the rest."""
+        mod p, each summing exactly R_p = 1 - sum of 1/n over the rest.
+        Everything is scaled by the lcm of the moduli."""
+        period = lcm(*moduli)
         primes: set[int] = set()
         for n in moduli:
-            primes.update(factors[n] if n in factors else prime_factors(n))
+            primes.update(factors[n])
         for p in primes:
-            terms: list[Fraction] = []
-            other = Fraction(0)
+            terms: list[int] = []
+            other = 0
             for n in moduli:
                 if n % p == 0:
-                    terms.append(Fraction(p, n))
+                    terms.append(p * (period // n))
                 else:
-                    other += Fraction(1, n)
-            if not _splits_into_equal_parts(terms, p, 1 - other):
+                    other += period // n
+            if not _splits_into_equal_parts(terms, p, period - other):
                 return False
         return True
 
-    def rec(num: int, den: int, remaining: int, lo_idx: int, acc: list[int], distinct: list[int]):
-        # budget num/den > 0 is kept in lowest terms
+    acc: list[int] = []
+
+    def rec(num: int, den: int, remaining: int, lo_idx: int, allowed: int):
+        # budget num/den > 0 is kept in lowest terms; allowed is the bitset
+        # of the values sharing a prime with every chosen modulus
+        tick()
         if remaining == 2:
             # the final two moduli both equal the overall largest value v:
             # a strictly larger last modulus would be divisibility-maximal
-            # with multiplicity one, an impossible vanishing sum
+            # with multiplicity one, an impossible vanishing sum.  The stratum
+            # bound needs no update here: the exact partition check implies it.
             if (2 * den) % num == 0:
                 v = 2 * den // num
-                if (
-                    v >= acc[-1]
-                    and v <= max_mod
-                    and v in admissible_set
-                    and compatible(v, distinct)
-                ):
+                i = index.get(v)
+                if v >= acc[-1] and i is not None and allowed >> i & 1:
                     out = acc + [v, v]
                     if _maximal_multiplicities_ok(out) and strata_partition_ok(out):
-                        chosen_density = Fraction(den - num, den)
-                        undo1 = push_strata(v, chosen_density)
-                        if undo1 is not None:
-                            undo2 = push_strata(v, chosen_density + Fraction(1, v))
-                            if undo2 is not None:
-                                yield tuple(out)
-                                pop_strata(undo2)
-                            pop_strata(undo1)
+                        yield tuple(out)
             return
-        n_lo = -(-den // num)
+        rem1 = remaining - 1
+        # the rest num/den - 1/n must be positive, at most rem1/n and at
+        # least rem1/max_mod; the last bound holds iff n * top >= den * max_mod
+        top = num * max_mod - den * rem1
+        if top <= 0:
+            return
+        n_lo = max(den // num + 1, -(-(den * max_mod) // top))
         n_hi = min(max_mod, (remaining * den) // num)
         start = bisect_left(values, n_lo, lo_idx)
-        rem1 = remaining - 1
-        for idx in range(start, len(values)):
+        stop = bisect_right(values, n_hi, start)
+        if start >= stop:
+            return
+        candidates = allowed & ((1 << stop) - 1)
+        # A modulus n prime to p leaves the slack of p as it is, and the
+        # bound slack <= num/den - 1/n holds iff n * (num*b - a*den) >= den*b:
+        # every n below that threshold must be divisible by p.  (The room
+        # num*b - a*den is never negative: this node is within every bound.)
+        for p, (a, b) in slack.items():
+            room = num * b - a * den
+            if room == 0:
+                candidates &= divides[p]
+            else:
+                i = bisect_left(values, -(-(den * b) // room), start, stop)
+                if i > start:
+                    candidates &= divides[p] | -1 << i
+        candidates >>= start
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            idx = start + low.bit_length() - 1
             n = values[idx]
-            if n > n_hi:
-                break
-            if not compatible(n, distinct):
-                continue
-            # rest = num/den - 1/n, with bounds rem1/max_mod <= rest <= rem1/n
-            rnum = num * n - den
-            rden = den * n
-            if rnum <= 0 or rnum * n > rden * rem1 or rnum * max_mod < rden * rem1:
-                continue
-            undo = push_strata(n, Fraction(den - num, den))
-            if undo is None:
-                continue
-            g = gcd(rnum, rden)
-            acc.append(n)
-            fresh = n not in distinct
-            if fresh:
-                distinct.append(n)
-            yield from rec(rnum // g, rden // g, rem1, idx, acc, distinct)
-            if fresh:
-                distinct.pop()
-            acc.pop()
-            pop_strata(undo)
+            # a new prime p of n starts at slack (p - 1)/n, within the new
+            # budget num/den - 1/n iff p <= n * num/den; a known prime's
+            # slack drops by 1/n, as the budget does, so it stays within
+            for p in factors[n]:
+                if p not in slack and n * num < p * den:
+                    break
+            else:
+                changed = []
+                for p in factors[n]:
+                    old = slack.get(p)
+                    if old is None:
+                        new = (p - 1, n)
+                    else:
+                        a, b = old
+                        if b % n:
+                            scale = n // gcd(b, n)
+                            a *= scale
+                            b *= scale
+                        new = (a - b // n, b)
+                    slack[p] = new
+                    changed.append((p, old))
+                rnum = num * n - den
+                rden = den * n
+                g = gcd(rnum, rden)
+                acc.append(n)
+                yield from rec(rnum // g, rden // g, rem1, idx, allowed & sharing(n))
+                acc.pop()
+                for p, old in changed:
+                    if old is None:
+                        del slack[p]
+                    else:
+                        slack[p] = old
 
     for idx, n in enumerate(values):
         if n > k:  # smallest modulus is at most k (densities average 1/k)
             break
-        rnum, rden = n - 1, n
-        if rnum * max_mod < rden * (k - 1):
+        if (n - 1) * max_mod < n * (k - 1):  # the rest needs moduli > max_mod
             continue
-        undo = push_strata(n, Fraction(0))
-        if undo is None:
-            continue
-        g = gcd(rnum, rden)
-        yield from rec(rnum // g, rden // g, k - 1, idx, [n], [n])
-        pop_strata(undo)
+        # a first modulus meets every stratum bound: (p - 1)/n <= (n - 1)/n
+        slack.clear()
+        slack.update((p, (p - 1, n)) for p in factors[n])
+        acc.append(n)
+        yield from rec(n - 1, n, k - 1, idx, sharing(n))
+        acc.pop()
 
 
-def _splits_into_equal_parts(items: list[Fraction], parts: int, target: Fraction) -> bool:
-    """Can items be partitioned into `parts` groups each summing to target?
+def _splits_into_equal_parts(items: list[int], parts: int, target: int) -> bool:
+    """Can the integers in items be partitioned into `parts` groups each
+    summing to target?
 
     Small exact bin packing (at most as many items as the system has
     classes); bins with equal remaining capacity are interchangeable, so
@@ -387,18 +417,13 @@ def _splits_into_equal_parts(items: list[Fraction], parts: int, target: Fraction
         return False
     if any(it > target for it in items):
         return False
-    # integer scaling keeps the bin arithmetic exact and hashable
-    denom = 1
-    for it in items + [target]:
-        denom = denom * it.denominator // gcd(denom, it.denominator)
-    scaled = sorted((int(it * denom) for it in items), reverse=True)
-    goal = int(target * denom)
-    bins = [goal] * parts
+    items = sorted(items, reverse=True)
+    bins = [target] * parts
 
     def place(i: int) -> bool:
-        if i == len(scaled):
+        if i == len(items):
             return True
-        item = scaled[i]
+        item = items[i]
         tried = set()
         for b in range(parts):
             cap = bins[b]
@@ -515,9 +540,8 @@ def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
     yield from rec((1 << period) - 1)
 
 
-def _ecs_multisets(k: int, cfg: EcsSearchConfig) -> Iterator[tuple[int, ...]]:
-    """Phase one: the candidate modulus multisets of size k within the
-    config's modulus bound whose gcd is the requested one (if any)."""
+def _phase_one_bounds(k: int, cfg: EcsSearchConfig):
+    """The modulus bound and the admissibility test of phase one."""
     want_gcd = cfg.gcd
     max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
 
@@ -530,14 +554,54 @@ def _ecs_multisets(k: int, cfg: EcsSearchConfig) -> Iterator[tuple[int, ...]]:
             return False
         return True
 
-    for moduli in _modulus_multisets(k, max_mod, admissible):
-        if want_gcd is not None:
+    return max_mod, admissible
+
+
+def _ecs_multisets(k: int, cfg: EcsSearchConfig, tick=lambda: None) -> Iterator[tuple[int, ...]]:
+    """Phase one: the candidate modulus multisets of size k within the
+    config's modulus bound whose gcd is the requested one (if any)."""
+    for moduli in _modulus_multisets(k, *_phase_one_bounds(k, cfg), tick):
+        if cfg.gcd is not None:
             g = 0
             for n in moduli:
                 g = gcd(g, n)
-            if g != want_gcd:  # the system gcd is the gcd of its moduli
+            if g != cfg.gcd:  # the system gcd is the gcd of its moduli
                 continue
         yield moduli
+
+
+def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
+    """Both phases, multiset by multiset: every exact cover of size k within
+    the config's bounds, as flat tuples.  Each phase counts its search
+    nodes and checks the deadline every 1024 of them."""
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if cfg.gcd is not None and not 1 <= cfg.gcd <= k:
+        return
+    deadline = None
+    if cfg.budget_seconds is not None:
+        deadline = time.monotonic() + cfg.budget_seconds
+    nodes = [0, 0]  # search nodes of phase one and phase two
+    multisets = found = 0
+
+    def ticker(phase: int):
+        def tick():
+            nodes[phase] += 1
+            if deadline is not None and nodes[phase] % 1024 == 0 and time.monotonic() > deadline:
+                raise SearchBudgetExceeded(
+                    f"search for k={k} exceeded {cfg.budget_seconds}s after "
+                    f"{nodes[1]} nodes and {found} solutions "
+                    f"(phase one: {nodes[0]} nodes and {multisets} multisets)"
+                )
+
+        return tick
+
+    tick = ticker(1)
+    for moduli in _ecs_multisets(k, cfg, ticker(0)):
+        multisets += 1
+        for flat in _assign_offsets(moduli, tick):
+            found += 1
+            yield flat
 
 
 def enumerate_ecs(
@@ -553,36 +617,10 @@ def enumerate_ecs(
     emitted in canonical lexicographic order; ordered=False streams
     multiset by multiset with O(k) memory.  May raise SearchBudgetExceeded
     when a time budget is configured; its message gives the search nodes
-    visited and the solutions found by then.
+    visited and the solutions found by then, and the nodes and multisets
+    of phase one.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    cfg = config or EcsSearchConfig()
-    if cfg.gcd is not None and (cfg.gcd < 1 or cfg.gcd > k):
-        return
-    deadline = None
-    if cfg.budget_seconds is not None:
-        deadline = time.monotonic() + cfg.budget_seconds
-    nodes = 0
-    found = 0
-
-    def tick():
-        nonlocal nodes
-        nodes += 1
-        if deadline is not None and nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise SearchBudgetExceeded(
-                f"search for k={k} exceeded {cfg.budget_seconds}s after "
-                f"{nodes} nodes and {found} solutions"
-            )
-
-    def stream() -> Iterator[Flat]:
-        nonlocal found
-        for moduli in _ecs_multisets(k, cfg):
-            for flat in _assign_offsets(moduli, tick):
-                found += 1
-                yield flat
-
-    flats: Iterable[Flat] = stream()
+    flats: Iterable[Flat] = _ecs_stream(k, config or EcsSearchConfig())
     if ordered:
         flats = sorted(flats)
     for flat in flats:
@@ -590,5 +628,6 @@ def enumerate_ecs(
 
 
 def count_ecs(k: int, config: EcsSearchConfig | None = None) -> int:
-    """Number of exact covering systems of size k (honors config bounds)."""
-    return sum(1 for _ in enumerate_ecs(k, config, ordered=False))
+    """Number of exact covering systems of size k (honors config bounds),
+    counted on the flat stream without building systems."""
+    return sum(1 for _ in _ecs_stream(k, config or EcsSearchConfig()))

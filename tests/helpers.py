@@ -1,6 +1,8 @@
 """Shared fixtures: published table values and reference systems."""
 
 import os
+from bisect import bisect_left
+from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
@@ -342,3 +344,209 @@ def tree_count(k):
         return total
 
     return count(k)
+
+
+def modulus_multisets_fractions(k, max_mod, admissible):
+    """Reference phase one of the exact-cover search, in Fraction arithmetic:
+    nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
+    that could be the moduli of an exact cover, in the order and with the
+    pruning rules of the integer search enumeration._modulus_multisets.
+
+    With moduli nondecreasing, a modulus chosen when c remain on budget r
+    satisfies 1/n <= r <= c/n, so ceil(1/r) <= n <= floor(c/r) bounds
+    every branch and the enumeration terminates.  Two further necessary
+    conditions prune hard: moduli of disjoint classes are pairwise
+    non-coprime, and the largest modulus of an exact cover occurs at
+    least twice (at a primitive root of unity of the top modulus, the
+    offsets of its classes form a vanishing sum, which needs at least two
+    terms).
+    """
+    if k == 1:
+        yield (1,)
+        return
+    if k == 2:
+        if max_mod >= 2:
+            yield (2, 2)
+        return
+    values = [n for n in range(2, max_mod + 1) if admissible(n)]
+    admissible_set = set(values)
+    factors = {n: se.prime_factors(n) for n in values}
+
+    def compatible(n, distinct):
+        for m in distinct:
+            if gcd(n, m) == 1:
+                return False
+        return True
+
+    # Per-prime stratum state: for p dividing some chosen modulus,
+    # strata[p] = [S', M] with S' the chosen density on moduli not
+    # divisible by p and M the largest p/n over chosen p-divisible n.
+    # Within each residue j mod p the p-divisible classes of an exact
+    # cover sum to exactly R_p = 1 - S'_final, so M <= 1 - S' must hold
+    # already for the chosen prefix (S' only grows).
+    strata = {}
+
+    def push_strata(n, chosen_density):
+        """Update stratum state for modulus n; None means infeasible
+        (state already rolled back), else an undo token."""
+        undo = []
+        d = Fraction(1, n)
+        fs = factors[n] if n in factors else se.prime_factors(n)
+        ok = True
+        for p in fs:
+            entry = strata.get(p)
+            if entry is None:
+                # every earlier modulus missed p
+                entry = [chosen_density, Fraction(0)]
+                strata[p] = entry
+                undo.append((p, None, None))
+            term = Fraction(p, n)
+            if term > entry[1]:
+                undo.append((p, 1, entry[1]))
+                entry[1] = term
+            if entry[1] > 1 - entry[0]:
+                ok = False
+        if ok:
+            fset = set(fs)
+            for p, entry in strata.items():
+                if p in fset:
+                    continue
+                undo.append((p, 0, entry[0]))
+                entry[0] += d
+                if entry[1] > 1 - entry[0]:
+                    ok = False
+        if not ok:
+            pop_strata(undo)
+            return None
+        return undo
+
+    def pop_strata(undo):
+        for p, slot, old in reversed(undo):
+            if slot is None:
+                del strata[p]
+            else:
+                strata[p][slot] = old
+
+    def strata_partition_ok(moduli):
+        """Exact per-prime feasibility: for each prime p, the terms p/n over
+        p-divisible moduli must split into p groups, one per residue class
+        mod p, each summing exactly R_p = 1 - sum of 1/n over the rest."""
+        primes: set[int] = set()
+        for n in moduli:
+            primes.update(factors[n] if n in factors else se.prime_factors(n))
+        for p in primes:
+            terms = []
+            other = Fraction(0)
+            for n in moduli:
+                if n % p == 0:
+                    terms.append(Fraction(p, n))
+                else:
+                    other += Fraction(1, n)
+            if not _splits_into_equal_parts_fractions(terms, p, 1 - other):
+                return False
+        return True
+
+    def rec(num, den, remaining, lo_idx, acc, distinct):
+        # budget num/den > 0 is kept in lowest terms
+        if remaining == 2:
+            # the final two moduli both equal the overall largest value v:
+            # a strictly larger last modulus would be divisibility-maximal
+            # with multiplicity one, an impossible vanishing sum
+            if (2 * den) % num == 0:
+                v = 2 * den // num
+                if (
+                    v >= acc[-1]
+                    and v <= max_mod
+                    and v in admissible_set
+                    and compatible(v, distinct)
+                ):
+                    out = acc + [v, v]
+                    if en._maximal_multiplicities_ok(out) and strata_partition_ok(out):
+                        chosen_density = Fraction(den - num, den)
+                        undo1 = push_strata(v, chosen_density)
+                        if undo1 is not None:
+                            undo2 = push_strata(v, chosen_density + Fraction(1, v))
+                            if undo2 is not None:
+                                yield tuple(out)
+                                pop_strata(undo2)
+                            pop_strata(undo1)
+            return
+        n_lo = -(-den // num)
+        n_hi = min(max_mod, (remaining * den) // num)
+        start = bisect_left(values, n_lo, lo_idx)
+        rem1 = remaining - 1
+        for idx in range(start, len(values)):
+            n = values[idx]
+            if n > n_hi:
+                break
+            if not compatible(n, distinct):
+                continue
+            # rest = num/den - 1/n, with bounds rem1/max_mod <= rest <= rem1/n
+            rnum = num * n - den
+            rden = den * n
+            if rnum <= 0 or rnum * n > rden * rem1 or rnum * max_mod < rden * rem1:
+                continue
+            undo = push_strata(n, Fraction(den - num, den))
+            if undo is None:
+                continue
+            g = gcd(rnum, rden)
+            acc.append(n)
+            fresh = n not in distinct
+            if fresh:
+                distinct.append(n)
+            yield from rec(rnum // g, rden // g, rem1, idx, acc, distinct)
+            if fresh:
+                distinct.pop()
+            acc.pop()
+            pop_strata(undo)
+
+    for idx, n in enumerate(values):
+        if n > k:  # smallest modulus is at most k (densities average 1/k)
+            break
+        rnum, rden = n - 1, n
+        if rnum * max_mod < rden * (k - 1):
+            continue
+        undo = push_strata(n, Fraction(0))
+        if undo is None:
+            continue
+        g = gcd(rnum, rden)
+        yield from rec(rnum // g, rden // g, k - 1, idx, [n], [n])
+        pop_strata(undo)
+
+
+def _splits_into_equal_parts_fractions(items, parts, target):
+    """Can items be partitioned into `parts` groups each summing to target?
+
+    Small exact bin packing (at most as many items as the system has
+    classes); bins with equal remaining capacity are interchangeable, so
+    only distinct capacities are tried for each item.
+    """
+    if target < 0 or sum(items) != parts * target:
+        return False
+    if any(it > target for it in items):
+        return False
+    # integer scaling keeps the bin arithmetic exact and hashable
+    denom = 1
+    for it in items + [target]:
+        denom = denom * it.denominator // gcd(denom, it.denominator)
+    scaled = sorted((int(it * denom) for it in items), reverse=True)
+    goal = int(target * denom)
+    bins = [goal] * parts
+
+    def place(i):
+        if i == len(scaled):
+            return True
+        item = scaled[i]
+        tried = set()
+        for b in range(parts):
+            cap = bins[b]
+            if cap >= item and cap not in tried:
+                tried.add(cap)
+                bins[b] = cap - item
+                if place(i + 1):
+                    bins[b] = cap
+                    return True
+                bins[b] = cap
+        return False
+
+    return place(0)

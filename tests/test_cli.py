@@ -160,6 +160,13 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert "after 1024 nodes and" in err and "solutions" in err
 
+    def test_ecs_max_modulus_bounds_size_two(self, capsys):
+        for fmt in ("lines", "json", "count-only"):
+            code, out = run_cli(
+                capsys, "enumerate", "--size", "2", "--ecs", "--max-modulus", "1", "--format", fmt
+            )
+            assert (code, out) == (0, {"lines": "", "json": "[]\n", "count-only": "0\n"}[fmt])
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -362,6 +369,9 @@ class TestUsage:
             ["asympt", "--digits", "-3"],
             ["verify", "--order", "0"],
             ["verify", "--order", "-1"],
+            ["asympt", "--digits", "5", "--ratios", "-3"],
+            ["enumerate", "--size", "3", "--ecs", "--max-modulus", "0"],
+            ["count", "--max-size", "3", "--lcm", "--lcm-max", "-5"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):

@@ -391,6 +391,13 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             cg.parse_system_json("[" * 100_000 + "]" * 100_000)  # deeper than the recursion limit
 
+    def test_json_error_message_is_short(self):
+        # the rejected item is quoted only up to a fixed length
+        for text in ("[" + "[" * 990 + "]" * 990 + "]", "[[0, " + "7" * 1000 + ", 1]]"):
+            with pytest.raises(ValueError) as info:
+                cg.parse_system_json(text)
+            assert len(str(info.value)) < 200
+
 
 # near-valid inputs: mostly classes a mod n with 0 <= a < n <= 12, and one
 # pair in ten, one word in ten or one JSON item in five out of range or

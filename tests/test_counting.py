@@ -152,6 +152,11 @@ class TestSizeGcdLcm:
                 assert got == want
         assert not full.overflowed
 
+    @pytest.mark.parametrize("lcm_max", [0, -5])
+    def test_lcm_max_below_one_rejected(self, lcm_max):
+        with pytest.raises(ValueError):
+            ct.count_size_gcd_lcm(3, lcm_max)
+
 
 class TestLcmReference:
     @pytest.mark.parametrize("lcm_max", [None, 12])

@@ -18,6 +18,7 @@ from helpers import (
     assign_offsets_smallest_uncovered,
     canonical_shift_scan,
     brute_force_exact,
+    modulus_multisets_fractions,
     shift_class_counts_stream,
     slow,
     sys_of,
@@ -161,6 +162,27 @@ class TestEcsSearch:
         assert found > 0
         assert f"after 1024 nodes and {found} solutions" in str(info.value)
 
+    def test_budget_zero_stops_phase_one(self):
+        # at k = 13 with gcd 1 phase one visits 9,955 nodes before its first
+        # multiset, so the deadline check at phase-one node 1024 aborts
+        # before phase two has started
+        cfg = en.EcsSearchConfig(gcd=1, budget_seconds=0)
+        with pytest.raises(en.SearchBudgetExceeded) as info:
+            next(en.enumerate_ecs(13, cfg, ordered=False))
+        assert str(info.value).endswith(
+            "after 0 nodes and 0 solutions (phase one: 1024 nodes and 0 multisets)"
+        )
+
+    def test_max_modulus_bounds_the_smallest_sizes(self):
+        assert list(en.enumerate_ecs(2, en.EcsSearchConfig(max_modulus=1))) == []
+        assert en.count_ecs(2, en.EcsSearchConfig(max_modulus=2)) == 1
+        assert list(en.enumerate_ecs(1, en.EcsSearchConfig(max_modulus=1))) == [cg.TRIVIAL]
+
+    @pytest.mark.parametrize("bound", [0, -5])
+    def test_max_modulus_below_one_rejected(self, bound):
+        with pytest.raises(ValueError):
+            en.EcsSearchConfig(max_modulus=bound)
+
     def test_counts_equal_natural_counts(self):
         for k in range(1, 8):
             assert en.count_ecs(k) == A_COUNTS[k], k
@@ -209,6 +231,43 @@ class TestPhaseTwoOracle:
         assert _phase_two_matches_oracle(13, en.EcsSearchConfig(gcd=1)) == 30
 
 
+def _phase_one_matches_oracle(k, m=None, max_modulus=None):
+    """Compare the integer phase one with the Fraction reference search on
+    the whole multiset stream, before the gcd filter: same tuples, same
+    order."""
+    cfg = en.EcsSearchConfig(gcd=m, max_modulus=max_modulus)
+    max_mod, admissible = en._phase_one_bounds(k, cfg)
+    got = list(en._modulus_multisets(k, max_mod, admissible))
+    assert got == list(modulus_multisets_fractions(k, max_mod, admissible)), (k, m)
+    return len(got)
+
+
+class TestPhaseOneOracle:
+    def test_every_size_up_to_9(self):
+        for k in range(1, 10):
+            _phase_one_matches_oracle(k)
+
+    def test_every_gcd_up_to_size_8(self):
+        for k in range(1, 9):
+            for m in range(1, k + 1):
+                _phase_one_matches_oracle(k, m)
+
+    def test_gcd_one_up_to_size_12(self):
+        for k in range(1, 13):
+            _phase_one_matches_oracle(k, 1)
+
+    def test_modulus_bounds(self):
+        for k in range(1, 10):
+            for bound in (1, 2, 6, 12, 24, 60):
+                _phase_one_matches_oracle(k, max_modulus=bound)
+
+    @slow
+    def test_sizes_10_11_and_13_gcd_one(self):
+        assert _phase_one_matches_oracle(10) == 2152
+        assert _phase_one_matches_oracle(11) == 8950
+        assert _phase_one_matches_oracle(13, 1) == 2411  # 116 of them have gcd 1
+
+
 class TestHelpers:
     def test_prime_power_detector(self):
         powers = {2, 3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 32, 81, 128}
@@ -219,14 +278,14 @@ class TestHelpers:
             assert len(se.prime_factors(n)) >= 2
 
     def test_equal_partition_feasibility(self):
-        from fractions import Fraction as F
-
-        assert en._splits_into_equal_parts([F(1, 2), F(1, 2), F(1, 3), F(1, 3), F(1, 3)], 2, F(1))
-        assert en._splits_into_equal_parts([F(1, 2), F(1, 3), F(1, 6)], 2, F(1, 2))
-        # total matches but no exact split exists
-        assert not en._splits_into_equal_parts([F(2, 5), F(2, 5), F(1, 5)], 2, F(1, 2))
-        # an oversized term can never fit
-        assert not en._splits_into_equal_parts([F(3, 4), F(1, 4)], 2, F(1, 2))
+        # the terms scaled to integers: 1/2, 1/2, 1/3, 1/3, 1/3 into two halves
+        # of 1 (times 6), then 1/2, 1/3, 1/6 into halves of 1/2 (times 6)
+        assert en._splits_into_equal_parts([3, 3, 2, 2, 2], 2, 6)
+        assert en._splits_into_equal_parts([3, 2, 1], 2, 3)
+        # total matches but no exact split exists: 2/5, 2/5, 1/5 (times 10)
+        assert not en._splits_into_equal_parts([4, 4, 2], 2, 5)
+        # an oversized term can never fit: 3/4, 1/4 into halves (times 4)
+        assert not en._splits_into_equal_parts([3, 1], 2, 2)
 
     def test_least_translate_matches_scan(self):
         for k in range(1, 7):
