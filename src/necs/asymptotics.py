@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 from typing import Iterable
 
@@ -253,7 +254,13 @@ def _round_up(r: Fraction, places: int = 4) -> Fraction:
     return Fraction(-((-r.numerator * q) // r.denominator), q)
 
 
+@lru_cache(maxsize=1024)
 def _pick_terms(kind: str, r_up: Fraction, target: Fraction) -> int:
+    """Terms to sum so that the geometric tail bound is at most target.
+
+    A pure function of its arguments, so it is memoized: root finding
+    evaluates many points of one rounded radius at one precision, and
+    each miss scans the Fraction tail bounds afresh."""
     if r_up == 0:
         return 2
     tail = _KINDS[kind][2]

@@ -206,7 +206,8 @@ class EcsSearchConfig:
     other modulus and hence into the gcd.  gcd=m>=2 restricts branching
     to multiples of m.  max_modulus below 1 raises ValueError.
     budget_seconds aborts the search distinctly via SearchBudgetExceeded;
-    both phases check the deadline every 1024 search nodes.
+    both phases check the deadline every 1024 search nodes, and phase two
+    also before each modulus multiset.
     """
 
     max_modulus: int | None = None
@@ -573,7 +574,8 @@ def _ecs_multisets(k: int, cfg: EcsSearchConfig, tick=lambda: None) -> Iterator[
 def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
     """Both phases, multiset by multiset: every exact cover of size k within
     the config's bounds, as flat tuples.  Each phase counts its search
-    nodes and checks the deadline every 1024 of them."""
+    nodes and checks the deadline every 1024 of them; phase two also
+    checks it before it starts on each multiset."""
     if k < 1:
         raise ValueError("need k >= 1")
     if cfg.gcd is not None and not 1 <= cfg.gcd <= k:
@@ -584,21 +586,28 @@ def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
     nodes = [0, 0]  # search nodes of phase one and phase two
     multisets = found = 0
 
+    def check_deadline():
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetExceeded(
+                f"search for k={k} exceeded {cfg.budget_seconds}s after "
+                f"{nodes[1]} nodes and {found} solutions "
+                f"(phase one: {nodes[0]} nodes and {multisets} multisets)"
+            )
+
     def ticker(phase: int):
         def tick():
             nodes[phase] += 1
-            if deadline is not None and nodes[phase] % 1024 == 0 and time.monotonic() > deadline:
-                raise SearchBudgetExceeded(
-                    f"search for k={k} exceeded {cfg.budget_seconds}s after "
-                    f"{nodes[1]} nodes and {found} solutions "
-                    f"(phase one: {nodes[0]} nodes and {multisets} multisets)"
-                )
+            if nodes[phase] % 1024 == 0:
+                check_deadline()
 
         return tick
 
     tick = ticker(1)
     for moduli in _ecs_multisets(k, cfg, ticker(0)):
         multisets += 1
+        # one phase-2 node can cost more than a whole budget: its masks are
+        # ints of lcm bits, and the lcm of a large multiset is huge
+        check_deadline()
         for flat in _assign_offsets(moduli, tick):
             found += 1
             yield flat

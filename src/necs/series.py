@@ -14,10 +14,22 @@ Everything is computed with exact integer arithmetic.  A series carries an
 explicit truncation order N and stores coefficients 0..N; every operation
 takes the requested output order as an explicit argument and refuses to
 fabricate coefficients it cannot know.
+
+One kernel does the work: mul computes each output coefficient as one
+dot product, and power, compose and revert are built on it.  Reversion
+is Lagrange inversion, r_k = (1/k) [x^(k-1)] (x/s(x))^k, where x/s(x)
+has integer coefficients because s_1 = +-1; its powers are split
+baby-step/giant-step (Brent & Kung, "Fast algorithms for manipulating
+formal power series", J. ACM 1978), so reverting to order n costs about
+2 sqrt(n) truncated products plus n dot products, O(n^2.5) integer
+multiplications in place of the O(n^3) of solving coefficient by
+coefficient (which tests keep as the reference).
 """
 
 from __future__ import annotations
 
+import operator
+from math import isqrt
 from typing import Iterable
 
 
@@ -105,24 +117,25 @@ def sub(s: IntSeries, r: IntSeries, n: int) -> IntSeries:
 
 
 def mul(s: IntSeries, r: IntSeries, n: int) -> IntSeries:
-    """Product truncated at order n (plain convolution; the series are dense)."""
+    """Product truncated at order n.
+
+    The series here are dense, so each output coefficient is one dot
+    product, sum(map(operator.mul, ...)), of a slice of s against a
+    reversed slice of r; leading zero blocks are skipped, since
+    valuations add under multiplication.  About n^2/2 multiplications.
+    """
     _require_order(s, n)
     _require_order(r, n)
-    a, b = s.coeffs, r.coeffs
     out = [0] * (n + 1)
-    # skip leading zero blocks; valuations add under multiplication
     va = s.valuation()
     vb = r.valuation()
     if va + vb > n:
         return IntSeries(out)
-    for i in range(va, n - vb + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(vb, n - i + 1):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+    a = s.coeffs
+    rb = r.coeffs[n::-1]  # rb[t] = r_(n - t)
+    for k in range(va + vb, n + 1):
+        # [x^k] = sum of a_i r_(k-i) over va <= i <= k - vb
+        out[k] = sum(map(operator.mul, a[va : k - vb + 1], rb[n - k + va : n - vb + 1]))
     return IntSeries(out)
 
 
@@ -163,48 +176,67 @@ def derivative(s: IntSeries) -> IntSeries:
     return IntSeries([k * s.coeffs[k] for k in range(1, s.order + 1)])
 
 
+def _x_over(s: IntSeries, n: int) -> list[int]:
+    """Coefficients 0..n of x/s(x), for s(0) = 0 and s_1 = +-1 known to
+    order n + 1.
+
+    x/s(x) is the reciprocal of g(x) = s(x)/x, whose constant term g_0 =
+    s_1 is a unit: the recurrence g_0 c_k = -sum_{j=1..k} g_j c_(k-j)
+    divides only by g_0, so every c_k is an integer (1/g_0 = g_0).
+    """
+    g = s.coeffs[1 : n + 2]
+    g0 = g[0]
+    c = [g0]
+    for k in range(1, n + 1):
+        # reversed(c) runs c_(k-1), ..., c_0 against g_1, ..., g_k
+        c.append(-g0 * sum(map(operator.mul, g[1 : k + 1], reversed(c))))
+    return c
+
+
 def revert(s: IntSeries, n: int) -> IntSeries:
     """Compositional inverse r with s(r(x)) = x through order n.
 
     Requires s(0) = 0 and linear coefficient +-1, which makes every r_k an
-    integer.  Solved coefficient by coefficient: the order-k equation in
-    s(r(x)) = x is linear in r_k with coefficient s_1, everything else
-    already known.  Runs in O(n^3) integer multiplications via the table
-    q[j][k] = [x^k] r(x)^j.
+    integer.  By Lagrange inversion r = x phi(r) with phi = x/s(x), so
+
+        r_k = (1/k) [x^(k-1)] phi(x)^k.
+
+    phi is the reciprocal of s(x)/x, whose constant term s_1 is a unit,
+    so phi has integer coefficients; the division by k is exact (r_k is
+    an integer because s(r(x)) = x solves for it with unit leading
+    coefficient s_1), and a nonzero remainder raises ArithmeticError.
+    The powers are split baby-step/giant-step (Brent & Kung 1978): with
+    b = isqrt(n) and k = ib + j, 0 <= j < b, phi^k = P_i Q_j where
+    Q_j = phi^j and P_i = phi^(ib).  That is about 2 sqrt(n) truncated
+    products of order n - 1, and then each r_k is one dot product of
+    length k, so O(n^2.5) multiplications in all.
     """
     _require_order(s, n)
     if s.coeffs[0] != 0:
         raise ValueError("reversion needs zero constant term")
-    s1 = s.coeffs[1]
-    if s1 not in (1, -1):
+    if s.coeffs[1] not in (1, -1):
         raise ValueError("reversion with integer coefficients needs linear coefficient +-1")
     if n < 1:
         raise ValueError("need order >= 1")
 
+    m = n - 1  # r_k needs phi^k only through x^(k-1)
+    phi = IntSeries(_x_over(s, m))
+    b = isqrt(n)
+    baby = [IntSeries([1] + [0] * m), phi]  # phi^0, ..., phi^b; Q_j = baby[j]
+    while len(baby) <= b:
+        baby.append(mul(baby[-1], phi, m))
+    giant = baby[0]  # P_i = phi^(ib)
     r = [0] * (n + 1)
-    r[1] = s1  # s1 * r1 = 1 and s1 = +-1
-    # q[j][k] = [x^k] r(x)^j for the part of r known so far; q[j][k] only
-    # involves r_1..r_{k-j+1}, so filling column k before solving r_k is sound.
-    q = [[0] * (n + 1) for _ in range(n + 1)]
-    q[0][0] = 1
-    q[1][1] = r[1]
-    for k in range(2, n + 1):
-        for j in range(2, k + 1):
-            acc = 0
-            qprev = q[j - 1]
-            for i in range(1, k - j + 2):
-                ri = r[i]
-                if ri:
-                    acc += ri * qprev[k - i]
-            q[j][k] = acc
-        rhs = 1 if k == 1 else 0
-        acc = 0
-        for j in range(2, k + 1):
-            sj = s.coeffs[j]
-            if sj:
-                acc += sj * q[j][k]
-        r[k] = s1 * (rhs - acc)  # divide by s1 = multiply, since s1^2 = 1
-        q[1][k] = r[k]
+    for k in range(1, n + 1):
+        i, j = divmod(k, b)
+        if j == 0:
+            giant = baby[b] if i == 1 else mul(giant, baby[b], m)
+        # [x^(k-1)] P_i Q_j: P_i's coefficients 0..k-1 against Q_j's reversed
+        q = baby[j].coeffs
+        r_k, rem = divmod(sum(map(operator.mul, giant.coeffs[:k], q[k - 1 :: -1])), k)
+        if rem:
+            raise ArithmeticError(f"Lagrange inversion: [x^{k - 1}] phi^{k} is not divisible by {k}")
+        r[k] = r_k
     return IntSeries(r)
 
 
@@ -301,16 +333,10 @@ def schroeder_series(n: int) -> IntSeries:
 
 
 def phi_series(n: int) -> IntSeries:
-    """phi(u) = u / M(u), the reciprocal of G(u) = sum mu(k) u^{k-1}.
+    """phi(u) = u / M(u), the reciprocal of G(u) = M(u)/u = sum mu(k) u^{k-1}.
 
     G has constant term 1, so the reciprocal has exact integer coefficients.
     """
     if n < 0:
         raise ValueError("need order >= 0")
-    mu = mobius_upto(n + 1)
-    g = [mu[j + 1] for j in range(n + 1)]  # g[j] = mu(j+1), g[0] = 1
-    phi = [0] * (n + 1)
-    phi[0] = 1
-    for k in range(1, n + 1):
-        phi[k] = -sum(g[j] * phi[k - j] for j in range(1, k + 1))
-    return IntSeries(phi)
+    return IntSeries(_x_over(mobius_series(n + 1), n))

@@ -187,6 +187,41 @@ def assign_offsets_smallest_uncovered(moduli, tick=lambda: None):
     yield from rec(len(moduli), 0)
 
 
+def revert_power_table(s, n):
+    """Reference reversion: r with s(r(x)) = x through order n, for s(0) = 0
+    and s_1 = +-1, solved coefficient by coefficient in O(n^3).
+
+    The order-k equation in s(r(x)) = x is linear in r_k with coefficient
+    s_1, everything else already known, via the table
+    q[j][k] = [x^k] r(x)^j of the part of r known so far.
+    """
+    s1 = s.coeffs[1]
+    r = [0] * (n + 1)
+    r[1] = s1  # s1 * r1 = 1 and s1 = +-1
+    # q[j][k] only involves r_1..r_(k-j+1), so filling column k before
+    # solving r_k is sound
+    q = [[0] * (n + 1) for _ in range(n + 1)]
+    q[0][0] = 1
+    q[1][1] = r[1]
+    for k in range(2, n + 1):
+        for j in range(2, k + 1):
+            acc = 0
+            qprev = q[j - 1]
+            for i in range(1, k - j + 2):
+                ri = r[i]
+                if ri:
+                    acc += ri * qprev[k - i]
+            q[j][k] = acc
+        acc = 0
+        for j in range(2, k + 1):
+            sj = s.coeffs[j]
+            if sj:
+                acc += sj * q[j][k]
+        r[k] = -s1 * acc  # divide by s1 = multiply, since s1^2 = 1
+        q[1][k] = r[k]
+    return se.IntSeries(r)
+
+
 def count_size_gcd_rows(max_size):
     """Reference (size, gcd) counts: entries[(k, m)] = a(k, m), rebuilding
     each W_e and each power W_e^n from scratch for every row k.

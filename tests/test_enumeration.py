@@ -1,7 +1,9 @@
 """Duplicate-free generation of natural systems, shift classes, and the
 general exact-cover search."""
 
+import time
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -152,15 +154,44 @@ class TestEcsSearch:
         assert len(got) == 6  # the ten size-4 systems minus the four with lcm 8
 
     def test_budget_zero_aborts(self):
-        # the deadline is checked every 1024 nodes, so a zero budget stops
-        # at the 1024th node; k = 8 has found solutions by then, and the
-        # message reports both counters
+        # phase two checks the deadline before it starts on each multiset,
+        # so a zero budget stops at the first multiset, before any phase-2
+        # node; the message reports both phases' counters
         found = 0
         with pytest.raises(en.SearchBudgetExceeded) as info:
             for _ in en.enumerate_ecs(8, en.EcsSearchConfig(budget_seconds=0.0), ordered=False):
                 found += 1
+        assert found == 0
+        assert "after 0 nodes and 0 solutions (phase one: " in str(info.value)
+        assert str(info.value).endswith(" nodes and 1 multisets)")
+
+    def test_budget_zero_stops_before_a_huge_multiset(self):
+        # the first multiset of size 24 has lcm 2^23, so a single phase-2
+        # node there works on 2^23-bit masks
+        start = time.monotonic()
+        with pytest.raises(en.SearchBudgetExceeded) as info:
+            next(en.enumerate_ecs(24, en.EcsSearchConfig(budget_seconds=0), ordered=False))
+        assert time.monotonic() - start < 5
+        assert "after 0 nodes and 0 solutions" in str(info.value)
+
+    def test_phase_two_checks_every_1024_nodes(self, monkeypatch):
+        # a clock that passes the deadline after the check at the first
+        # multiset: k = 10's first multiset takes more than 1024 phase-2
+        # nodes, and phase one reaches it in fewer than 1024
+        calls = []
+
+        def clock():
+            calls.append(None)
+            return 0.0 if len(calls) <= 2 else 10.0
+
+        monkeypatch.setattr(en, "time", SimpleNamespace(monotonic=clock))
+        found = 0
+        with pytest.raises(en.SearchBudgetExceeded) as info:
+            for _ in en.enumerate_ecs(10, en.EcsSearchConfig(budget_seconds=1.0), ordered=False):
+                found += 1
         assert found > 0
         assert f"after 1024 nodes and {found} solutions" in str(info.value)
+        assert str(info.value).endswith(" nodes and 1 multisets)")
 
     def test_budget_zero_stops_phase_one(self):
         # at k = 13 with gcd 1 phase one visits 9,955 nodes before its first

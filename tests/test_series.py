@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from necs import series as se
 
-from helpers import A_COUNTS, SCHROEDER
+from helpers import A_COUNTS, SCHROEDER, revert_power_table, slow
 
 
 def mobius_trial_division(n: int) -> int:
@@ -158,6 +158,27 @@ class TestReversion:
         s = se.IntSeries(coeffs)
         r = se.revert(s, order)
         assert se.compose(s, r, order) == se.x_series(order)
+
+
+class TestReversionOracle:
+    """Lagrange inversion against the triangular power-table recurrence."""
+
+    def test_mobius_every_order_to_120(self):
+        for n in range(1, 121):
+            m = se.mobius_series(n)
+            assert se.revert(m, n) == revert_power_table(m, n), n
+
+    @slow
+    @pytest.mark.parametrize("n", [300, 400])
+    def test_mobius_large_orders(self, n):
+        m = se.mobius_series(n)
+        assert se.revert(m, n) == revert_power_table(m, n)
+
+    @given(st.sampled_from([1, -1]), st.lists(st.integers(-20, 20), max_size=39))
+    @settings(max_examples=100, deadline=None)
+    def test_random_unit_series(self, s1, tail):
+        s = se.IntSeries([0, s1] + tail)
+        assert se.revert(s, s.order) == revert_power_table(s, s.order)
 
 
 class TestNamedSeries:
