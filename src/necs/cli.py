@@ -106,7 +106,7 @@ def _emit_enumerate(args) -> int:
         if count_only:
             print(en.count_ecs(args.size, cfg) if args.ecs else sum(1 for _ in systems))
         elif args.format == "json":
-            print(json.dumps([[[c.offset, c.modulus] for c in s] for s in systems]))
+            print(json.dumps([[[a, n] for n, a in s] for s in systems]))
         else:
             first = True
             for s in systems:
@@ -271,7 +271,7 @@ def _emit_verify(args) -> int:
         total = [0] * (n_pow + 1)
         d = 1
         while n * d <= n_pow:
-            amd = se.Am_series(n * d, n_pow)
+            amd = se.Am_of(a_pow, n * d, n_pow)
             total = [t + amd[i] for i, t in enumerate(total)]
             d += 1
         ok = ok and lhs.coeffs == tuple(total)

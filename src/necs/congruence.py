@@ -22,8 +22,9 @@ piece of gcd 1 needs the pairwise is_exact, to tell the two verdicts apart.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -34,22 +35,28 @@ class NotExactCoverError(ValueError):
     """Raised where an operation is only meaningful for exact covers."""
 
 
-@dataclass(frozen=True, order=True)
-class ResidueClass:
+class ResidueClass(namedtuple("ResidueClass", ("modulus", "offset"))):
     """The congruence class offset mod modulus, with 0 <= offset < modulus.
 
-    Field order is (modulus, offset) so the generated comparison is the
-    canonical sort order used everywhere in this package.
+    A validated (modulus, offset) tuple: it equals, hashes and orders as the
+    plain pair (modulus, offset), whose order is the canonical sort order
+    used everywhere in this package, and it unpacks in that order
+    (``n, a = c``), not in the "a mod n" reading of the text format.
+    Immutable; comparison, hashing and sorting run in C.
     """
 
-    modulus: int
-    offset: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        if not 0 <= self.offset < self.modulus:
-            raise ValueError(f"offset {self.offset} not in [0, {self.modulus})")
+    def __new__(cls, modulus: int, offset: int):
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        if not 0 <= offset < modulus:
+            raise ValueError(f"offset {offset} not in [0, {modulus})")
+        return tuple.__new__(cls, (modulus, offset))
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's would skip the checks (_replace uses it)
+        return cls(*iterable)
 
     def __repr__(self) -> str:
         return f"<{self.offset},{self.modulus}>"
@@ -79,9 +86,9 @@ class CoveringSystem:
         cs = tuple(sorted(classes))
         if not cs:
             raise ValueError("a covering system needs at least one class")
-        for a, b in zip(cs, cs[1:]):
-            if a == b:
-                raise ValueError(f"duplicate class {a}")
+        if len(set(cs)) != len(cs):
+            a = next(a for a, b in zip(cs, cs[1:]) if a == b)
+            raise ValueError(f"duplicate class {a}")
         object.__setattr__(self, "classes", cs)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -108,11 +115,7 @@ class CoveringSystem:
     def key(self) -> tuple:
         """Flat (modulus, offset, modulus, offset, ...) tuple; the canonical
         lexicographic sort key for streams of systems."""
-        out = []
-        for c in self.classes:
-            out.append(c.modulus)
-            out.append(c.offset)
-        return tuple(out)
+        return tuple(chain.from_iterable(self.classes))
 
 
 def system(*pairs: tuple[int, int]) -> CoveringSystem:
@@ -146,11 +149,13 @@ def is_exact(c: CoveringSystem) -> bool:
     necessarily cover.
     """
     cs = c.classes
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
-            if cs[i].intersects(cs[j]):
+    for i, (n, a) in enumerate(cs):
+        for m, b in cs[i + 1 :]:
+            # ResidueClass.intersects, inlined: a method call per pair
+            # would cost more than the test itself
+            if (a - b) % gcd(n, m) == 0:
                 return False
-    density = sum(Fraction(1, cl.modulus) for cl in cs)
+    density = sum(Fraction(1, n) for n, _ in cs)
     return density == 1
 
 
@@ -203,7 +208,7 @@ def contract(c: CoveringSystem, n: int) -> tuple[CoveringSystem, ...]:
         raise ValueError("contraction modulus must be >= 2")
     if gcd_of(c) % n != 0:
         raise ValueError(f"{n} does not divide the gcd {gcd_of(c)}")
-    buckets = _contract_pairs(((cl.modulus, cl.offset) for cl in c.classes), n)
+    buckets = _contract_pairs(c.classes, n)
     return tuple(CoveringSystem(ResidueClass(m, a) for m, a in b) for b in buckets)
 
 
@@ -246,7 +251,7 @@ def naturality_witness(c: CoveringSystem):
     from . import trees  # local import; trees depends on this module
 
     arities = []  # preorder: 0 for a leaf, else the contraction modulus
-    todo = [[(cl.modulus, cl.offset) for cl in c.classes]]
+    todo = [list(c.classes)]
     while todo:
         piece = todo.pop()
         if piece == [(1, 0)]:
@@ -319,7 +324,7 @@ def least_translate(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[tuple[int, 
 def canonical_shift(c: CoveringSystem) -> tuple[CoveringSystem, int]:
     """Lexicographically least translate of c, with the least witnessing t
     (see least_translate; c is assumed exact)."""
-    pairs, t = least_translate((cl.modulus, cl.offset) for cl in c.classes)
+    pairs, t = least_translate(c.classes)
     return CoveringSystem(ResidueClass(n, a) for n, a in pairs), t
 
 
@@ -352,7 +357,7 @@ def parse_system_text(text: str) -> CoveringSystem:
 
 
 def format_system_text(c: CoveringSystem) -> str:
-    return "\n".join(f"{cl.offset} mod {cl.modulus}" for cl in c.classes) + "\n"
+    return "\n".join(f"{a} mod {n}" for n, a in c.classes) + "\n"
 
 
 def _clipped_repr(item, limit: int = 60) -> str:
@@ -382,4 +387,4 @@ def parse_system_json(text: str) -> CoveringSystem:
 
 
 def format_system_json(c: CoveringSystem) -> str:
-    return json.dumps([[cl.offset, cl.modulus] for cl in c.classes])
+    return json.dumps([[a, n] for n, a in c.classes])

@@ -6,6 +6,12 @@ of a unique m-tuple of smaller systems (its contraction by m), so
 looping over compositions of k, coprime gcd tuples with nonzero counts,
 and recursively generated pieces emits every system exactly once --
 duplicate-freeness comes from the bijection, not from a dedup pass.
+The piece lists of sizes up to _MEMO_MAX_SIZE (9) are built once per
+stream and kept; for each composition, the list of each position is
+<idx, n>-expanded once and the systems are the sorted unions of the
+itertools.product of those lists.  A larger piece list is never held: it
+is streamed afresh, piece by piece, for each combination of the pieces
+before it.
 
 Shift classes (orbits under translation) are listed by filtering that
 stream for the systems that are their own least translate; translation
@@ -46,18 +52,17 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain, starmap
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .congruence import CoveringSystem, ResidueClass, least_translate
 from .counting import CountTable, count_size_gcd, count_size_gcd_period
 from .series import prime_factors
-from .trees import _compositions_colex
+from .trees import _MEMO_MAX_SIZE, _compositions_colex, _streamed_product
 
 Flat = tuple[tuple[int, int], ...]  # sorted ((modulus, offset), ...)
-
-#: piece lists for sizes up to this are materialized and reused
-_MEMO_MAX_SIZE = 9
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -65,11 +70,17 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def _to_system(flat: Flat) -> CoveringSystem:
-    return CoveringSystem(ResidueClass(n, a) for n, a in flat)
+    return CoveringSystem(starmap(ResidueClass, flat))
+
+
+def _expand(piece: Flat, idx: int, n: int) -> Flat:
+    """The <idx, n>-expansion of a piece, in (modulus, offset) pairs."""
+    return tuple((n * pn, idx + n * pa) for pn, pa in piece)
 
 
 class _NecsGenerator:
-    """Recursive generator for natural systems, memoizing small piece lists."""
+    """Generator for natural systems, memoizing the piece lists of sizes up
+    to _MEMO_MAX_SIZE and streaming the larger ones."""
 
     def __init__(self, table: CountTable):
         self.table = table
@@ -105,7 +116,7 @@ class _NecsGenerator:
         for comp in _compositions_colex(k, m):
             supports = [self.support[j] for j in comp]
             for gcds in self._coprime_tuples(supports):
-                yield from self._assemble(comp, gcds, 0, [])
+                yield from self._assemble(comp, gcds)
 
     def _coprime_tuples(self, supports) -> Iterator[tuple[int, ...]]:
         n = len(supports)
@@ -120,19 +131,24 @@ class _NecsGenerator:
 
         return rec(0, 0, ())
 
-    def _assemble(self, comp, gcds, i, pieces) -> Iterator[Flat]:
-        if i == len(comp):
-            n = len(comp)
-            out = []
-            for idx, piece in enumerate(pieces):
-                out.extend((n * pn, idx + n * pa) for pn, pa in piece)
-            out.sort()
-            yield tuple(out)
-            return
-        for piece in self.generate(comp[i], gcds[i]):
-            pieces.append(piece)
-            yield from self._assemble(comp, gcds, i + 1, pieces)
-            pieces.pop()
+    def _assemble(self, comp, gcds) -> Iterator[Flat]:
+        """The systems whose contraction by n = len(comp) has pieces of the
+        sizes comp and the gcds gcds, the first piece varying slowest.  The
+        memoized piece list of each position is <idx, n>-expanded once, not
+        once per combination of the other pieces; a larger piece list is
+        streamed and expanded piece by piece."""
+        n = len(comp)
+        factors: list = []
+        for idx, (j, m) in enumerate(zip(comp, gcds)):
+            if j <= _MEMO_MAX_SIZE:
+                factors.append(tuple(_expand(p, idx, n) for p in self._memoized(j, m)))
+            else:
+                factors.append(partial(self._expanded_stream, j, m, idx, n))
+        for pieces in _streamed_product(factors):
+            yield tuple(sorted(chain.from_iterable(pieces)))
+
+    def _expanded_stream(self, k: int, m: int, idx: int, n: int) -> Iterator[Flat]:
+        return (_expand(p, idx, n) for p in self.generate(k, m))
 
 
 def _check_size_gcd(k: int, m: int | None) -> None:
@@ -155,8 +171,10 @@ def enumerate_necs(
     exactly once.
 
     With ordered=True (the default) the whole stream is materialized and
-    emitted in canonical lexicographic order; ordered=False streams in
-    the deterministic recursion order with O(depth) memory.
+    emitted in canonical lexicographic order; ordered=False streams in a
+    deterministic order (compositions, then gcd tuples, then the pieces,
+    the first piece varying slowest), holding only the piece lists of
+    sizes up to _MEMO_MAX_SIZE, whatever k is.
     """
     _check_size_gcd(k, m)
     flats: Iterable[Flat] = _necs_stream(k, m)
@@ -249,21 +267,28 @@ def _modulus_multisets(
     # residue, p classes in all.  (The stratum and partition checks below
     # reject every other modulus, so dropping them leaves the search as it
     # is.)
-    smooth = [1]
+    # factors[s]: the distinct primes of each k-smooth s <= max_mod, in
+    # increasing order, recorded as the smooth numbers are generated
+    factors: dict[int, tuple[int, ...]] = {1: ()}
     for p in range(2, k + 1):
         if prime_factors(p) == [p]:
-            for s in smooth[:]:
+            for s, primes in list(factors.items()):
+                primes += (p,)
                 while s * p <= max_mod:
                     s *= p
-                    smooth.append(s)
-    values = sorted(n for n in smooth if n >= 2 and admissible(n))
+                    factors[s] = primes
+    values = sorted(n for n, primes in factors.items() if n >= 2 and admissible(n, primes))
     index = {n: i for i, n in enumerate(values)}
-    factors = {n: tuple(prime_factors(n)) for n in values}
-    # divides[p]: bitset of the indices of the values divisible by p
-    divides: dict[int, int] = {}
+    # divides[p]: bitset of the indices of the values divisible by p, read
+    # from a string of binary digits (setting its bits one by one in an int
+    # would copy the int each time, quadratic in the number of values)
+    digits: dict[int, bytearray] = {}
     for i, n in enumerate(values):
         for p in factors[n]:
-            divides[p] = divides.get(p, 0) | 1 << i
+            if p not in digits:
+                digits[p] = bytearray(b"0") * len(values)
+            digits[p][i] = ord("1")
+    divides = {p: int(d[::-1], 2) for p, d in digits.items()}
     sharing_memo: dict[tuple[int, ...], int] = {}
 
     def sharing(n: int) -> int:
@@ -326,7 +351,7 @@ def _modulus_multisets(
                 i = index.get(v)
                 if v >= acc[-1] and i is not None and allowed >> i & 1:
                     out = acc + [v, v]
-                    if _maximal_multiplicities_ok(out) and strata_partition_ok(out):
+                    if _maximal_multiplicities_ok(out, factors) and strata_partition_ok(out):
                         yield tuple(out)
             return
         rem1 = remaining - 1
@@ -451,13 +476,14 @@ def _is_prime_combination(t: int, primes: list[int]) -> bool:
     return bool(reach[t])
 
 
-def _maximal_multiplicities_ok(moduli: list[int]) -> bool:
+def _maximal_multiplicities_ok(moduli: list[int], factors) -> bool:
     """Vanishing-sum necessary condition on a candidate modulus multiset.
 
     For a divisibility-maximal modulus value v (no other modulus a multiple
     of v), summing z^offset over the classes of modulus v at a primitive
     v-th root of unity z gives zero, and a vanishing sum of t v-th roots of
-    unity forces t to be a nonnegative combination of the primes dividing v.
+    unity forces t to be a nonnegative combination of the primes dividing v,
+    which factors[v] lists.
     """
     counts: dict[int, int] = {}
     for n in moduli:
@@ -467,7 +493,7 @@ def _maximal_multiplicities_ok(moduli: list[int]) -> bool:
             continue
         if any(u != v and u % v == 0 for u in counts):
             continue
-        if not _is_prime_combination(t, prime_factors(v)):
+        if not _is_prime_combination(t, factors[v]):
             return False
     return True
 
@@ -542,14 +568,16 @@ def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
 
 
 def _phase_one_bounds(k: int, cfg: EcsSearchConfig):
-    """The modulus bound and the admissibility test of phase one."""
+    """The modulus bound and the admissibility test of phase one, a test of
+    a modulus and its distinct primes."""
     want_gcd = cfg.gcd
     max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
 
-    def admissible(n: int) -> bool:
-        # a prime-power modulus puts its prime into every other modulus
-        # (disjoint classes need non-coprime moduli), hence into the gcd
-        if want_gcd == 1 and k >= 2 and len(prime_factors(n)) <= 1:
+    def admissible(n: int, primes) -> bool:
+        # primes: the distinct primes of n.  A prime-power modulus puts its
+        # prime into every other modulus (disjoint classes need non-coprime
+        # moduli), hence into the gcd
+        if want_gcd == 1 and k >= 2 and len(primes) <= 1:
             return False
         if want_gcd is not None and want_gcd >= 2 and n % want_gcd != 0:
             return False

@@ -312,7 +312,12 @@ def Am_series(m: int, n: int) -> IntSeries:
     """A_m(x) = M(A(x)^m): size generating series for systems of gcd m."""
     if m < 1:
         raise ValueError("need m >= 1")
-    a = A_series(n)
+    return Am_of(A_series(n), m, n)
+
+
+def Am_of(a: IntSeries, m: int, n: int) -> IntSeries:
+    """M(a(x)^m) truncated at order n, for m >= 1: A_m(x) from a = A(x) of
+    order at least n, so a caller needing several m reverts only once."""
     return compose(mobius_series(n), power(a, m, n), n)
 
 

@@ -6,6 +6,9 @@ with up-degree r the labels <a+jn, rn>, j = 0..r-1.  The set of leaf
 labels is an exact covering system, and the map (called chi here) from
 trees onto natural systems is a surjection that sends leaf count to
 system size.  Trees with k leaves are counted by the Schroder numbers.
+enumerate_trees lists them with a memo: the trees with fewer than
+_MEMO_MAX_SIZE (9) leaves are built once per call and shared as
+subtrees; larger child lists are streamed afresh, never held.
 
 Serialization is nested parentheses with explicit up-degrees: a leaf is
 "()" and an internal vertex with children c1..cr is "(r c1 ... cr)".
@@ -14,6 +17,8 @@ Serialization is nested parentheses with explicit up-degrees: a leaf is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from typing import Iterator
 
 from .congruence import CoveringSystem, ResidueClass
@@ -111,6 +116,12 @@ def ab_inverse(s: Tree, a: int, b: int) -> Tree:
     return Tree(tuple(xs))
 
 
+#: lists of natural systems with at most this many classes (enumeration)
+#: and of trees with fewer leaves are materialized and reused; larger ones
+#: are streamed, never held
+_MEMO_MAX_SIZE = 9
+
+
 def _compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """Compositions of total into parts positive parts, colexicographic order."""
     if parts == 1:
@@ -121,31 +132,54 @@ def _compositions_colex(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield rest + (last,)
 
 
+def _streamed_product(factors: list) -> Iterator[tuple]:
+    """itertools.product(*factors), in the same order, where a factor may
+    also be a function of no arguments that returns an iterator: it is
+    called afresh for each combination of the factors before it, so its
+    items are streamed and never held (product would hold them all)."""
+    i = next((i for i, f in enumerate(factors) if callable(f)), None)
+    if i is None:
+        yield from product(*factors)
+        return
+    rest = factors[i + 1 :]
+    for head in product(*factors[:i]):
+        for item in factors[i]():
+            for tail in _streamed_product(rest):
+                yield head + (item,) + tail
+
+
 def enumerate_trees(k: int) -> Iterator[Tree]:
     """All trees with exactly k leaves, each exactly once.
 
     Deterministic order: by root up-degree, then child-leaf-count
-    compositions in colexicographic order, then recursively.
+    compositions in colexicographic order, then the children's own lists
+    in this order, the first child varying slowest.  The lists of trees
+    with fewer than _MEMO_MAX_SIZE leaves are built once per call and
+    their trees shared as subtrees, so every child list of a tree with at
+    most _MEMO_MAX_SIZE leaves comes from that memo; larger child lists
+    are streamed afresh.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    if k == 1:
-        yield LEAF
-        return
-    for r in range(2, k + 1):
-        for comp in _compositions_colex(k, r):
-            yield from _trees_with_composition(comp)
+    memo: dict[int, tuple[Tree, ...]] = {}
 
+    def listed(j: int) -> tuple[Tree, ...]:
+        got = memo.get(j)
+        if got is None:
+            got = memo[j] = tuple(fresh(j))
+        return got
 
-def _trees_with_composition(comp: tuple[int, ...]) -> Iterator[Tree]:
-    def rec(i: int, acc: tuple[Tree, ...]) -> Iterator[Tree]:
-        if i == len(comp):
-            yield Tree(acc)
+    def fresh(j: int) -> Iterator[Tree]:
+        if j == 1:
+            yield LEAF
             return
-        for child in enumerate_trees(comp[i]):
-            yield from rec(i + 1, acc + (child,))
+        for r in range(2, j + 1):
+            for comp in _compositions_colex(j, r):
+                factors = [listed(i) if i < _MEMO_MAX_SIZE else partial(fresh, i) for i in comp]
+                for children in _streamed_product(factors):
+                    yield Tree(children)
 
-    yield from rec(0, ())
+    yield from fresh(k)
 
 
 # --- parenthesized format ----------------------------------------------------

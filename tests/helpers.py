@@ -11,7 +11,7 @@ from necs import congruence as cg
 from necs import enumeration as en
 from necs import series as se
 from necs import trees as tr
-from necs.counting import OVERFLOW
+from necs.counting import OVERFLOW, count_size_gcd
 
 slow = pytest.mark.skipif(
     os.environ.get("NECS_SLOW") != "1",
@@ -381,6 +381,56 @@ def tree_count(k):
     return count(k)
 
 
+class NecsGeneratorRecursive(en._NecsGenerator):
+    """Reference assembly of natural systems: recursion over the positions
+    of a composition, expanding each piece by <idx, n> inside the innermost
+    call, once per combination of the other pieces."""
+
+    def _assemble(self, comp, gcds):
+        n = len(comp)
+
+        def rec(i, pieces):
+            if i == n:
+                out = []
+                for idx, piece in enumerate(pieces):
+                    out.extend((n * pn, idx + n * pa) for pn, pa in piece)
+                out.sort()
+                yield tuple(out)
+                return
+            for piece in self.generate(comp[i], gcds[i]):
+                pieces.append(piece)
+                yield from rec(i + 1, pieces)
+                pieces.pop()
+
+        return rec(0, [])
+
+
+def necs_stream_recursive(k, m):
+    """Reference stream of the natural systems of size k and gcd m, as flat
+    (modulus, offset) tuples in the order of enumerate_necs(ordered=False)."""
+    return NecsGeneratorRecursive(count_size_gcd(k)).generate(k, m)
+
+
+def enumerate_trees_recursive(k):
+    """Reference tree enumeration without a memo: every child list is
+    regenerated for each combination of the children before it, in the
+    order of trees.enumerate_trees."""
+    if k == 1:
+        yield tr.LEAF
+        return
+    for r in range(2, k + 1):
+        for comp in tr._compositions_colex(k, r):
+
+            def rec(i, acc):
+                if i == len(comp):
+                    yield tr.Tree(acc)
+                    return
+                for child in enumerate_trees_recursive(comp[i]):
+                    yield from rec(i + 1, acc + (child,))
+
+            yield from rec(0, ())
+
+
 def modulus_multisets_fractions(k, max_mod, admissible):
     """Reference phase one of the exact-cover search, in Fraction arithmetic:
     nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
@@ -403,7 +453,7 @@ def modulus_multisets_fractions(k, max_mod, admissible):
         if max_mod >= 2:
             yield (2, 2)
         return
-    values = [n for n in range(2, max_mod + 1) if admissible(n)]
+    values = [n for n in range(2, max_mod + 1) if admissible(n, se.prime_factors(n))]
     admissible_set = set(values)
     factors = {n: se.prime_factors(n) for n in values}
 
@@ -496,7 +546,7 @@ def modulus_multisets_fractions(k, max_mod, admissible):
                     and compatible(v, distinct)
                 ):
                     out = acc + [v, v]
-                    if en._maximal_multiplicities_ok(out) and strata_partition_ok(out):
+                    if en._maximal_multiplicities_ok(out, factors) and strata_partition_ok(out):
                         chosen_density = Fraction(den - num, den)
                         undo1 = push_strata(v, chosen_density)
                         if undo1 is not None:

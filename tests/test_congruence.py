@@ -1,6 +1,8 @@
 """Residue classes, exactness, expansion/split/contraction, naturality."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -52,12 +54,55 @@ def mutated_split_systems(draw):
 
 class TestResidueClass:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^modulus must be >= 1, got 0$"):
             cg.ResidueClass(0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^modulus must be >= 1, got -3$"):
+            cg.ResidueClass(-3, 0)
+        with pytest.raises(ValueError, match=r"^offset 4 not in \[0, 4\)$"):
             cg.ResidueClass(4, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^offset -1 not in \[0, 4\)$"):
             cg.ResidueClass(4, -1)
+
+    def test_is_the_modulus_offset_pair(self):
+        c = cg.ResidueClass(12, 7)
+        assert (c.modulus, c.offset) == (12, 7)
+        n, a = c
+        assert (n, a) == (12, 7)
+        assert c == (12, 7) and hash(c) == hash((12, 7))
+        assert repr(c) == "<7,12>"
+        assert cg.rc(7, 12) == c
+
+    def test_ordering_is_pair_order(self):
+        pairs = [(n, a) for n in range(1, 9) for a in range(n)]
+        random.Random(5).shuffle(pairs)
+        classes = [cg.ResidueClass(n, a) for n, a in pairs]
+        assert sorted(classes) == sorted(pairs)
+        for x, y in zip(classes, classes[1:]):
+            tx, ty = tuple(x), tuple(y)
+            assert (x < y, x <= y, x > y, x >= y) == (tx < ty, tx <= ty, tx > ty, tx >= ty)
+
+    def test_hash_agrees_with_equality(self):
+        classes = [cg.ResidueClass(n, a) for n in range(1, 7) for a in range(n)]
+        again = [cg.ResidueClass(n, a) for n in range(1, 7) for a in range(n)]
+        assert len(set(classes) | set(again)) == len(classes)
+        for x, y in zip(classes, again):
+            assert x == y and hash(x) == hash(y) and x is not y
+        assert cg.ResidueClass(4, 1) != cg.ResidueClass(4, 3)
+
+    def test_immutable(self):
+        c = cg.ResidueClass(4, 1)
+        for name in ("modulus", "offset", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 2)
+        assert c == (4, 1)
+        with pytest.raises(ValueError, match="offset 5 not in"):
+            c._replace(offset=5)
+
+    def test_pickle_and_copy_round_trip(self):
+        c = cg.ResidueClass(30, 29)
+        for other in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert type(other) is cg.ResidueClass
+            assert other == c and repr(other) == "<29,30>"
 
     def test_intersection_rule(self):
         assert cg.rc(3, 8).intersects(cg.rc(7, 12))  # both contain 19
@@ -70,8 +115,10 @@ class TestResidueClass:
         assert [(c.offset, c.modulus) for c in s] == [(0, 2), (1, 4), (3, 4)]
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^duplicate class <0,2>$"):
             cg.CoveringSystem([cg.rc(0, 2), cg.rc(0, 2)])
+        with pytest.raises(ValueError, match=r"^duplicate class <3,4>$"):
+            cg.CoveringSystem([cg.rc(3, 4), cg.rc(1, 2), cg.rc(0, 4), cg.rc(3, 4), cg.rc(1, 4)])
 
 
 class TestIsExact:

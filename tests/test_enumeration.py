@@ -2,6 +2,7 @@
 general exact-cover search."""
 
 import time
+from itertools import islice
 from math import gcd
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from helpers import (
     canonical_shift_scan,
     brute_force_exact,
     modulus_multisets_fractions,
+    necs_stream_recursive,
     shift_class_counts_stream,
     slow,
     sys_of,
@@ -73,6 +75,35 @@ class TestNecsEnumeration:
             list(en.enumerate_necs(0))
         with pytest.raises(ValueError):
             list(en.enumerate_necs(3, 5))
+
+
+class TestAssemblyOracle:
+    def test_stream_matches_recursive_assembly(self):
+        for k in range(1, 10):
+            for m in range(1, k + 1):
+                got = [s.classes for s in en.enumerate_necs(k, m, ordered=False)]
+                assert got == list(necs_stream_recursive(k, m)), (k, m)
+
+    def test_streamed_piece_prefix_matches_recursive_assembly(self):
+        # the first gcd-2 systems of size 11 put a streamed size-10 piece first
+        got = islice(en._necs_stream(11, 2), 3000)
+        assert list(got) == list(islice(necs_stream_recursive(11, 2), 3000))
+
+    def test_large_piece_lists_are_streamed(self, monkeypatch):
+        pulled = []  # one entry per piece taken from a list above the memo bound
+        generate = en._NecsGenerator.generate
+
+        def spy(self, k, m):
+            for flat in generate(self, k, m):
+                if en._MEMO_MAX_SIZE < k < 11:
+                    pulled.append(k)
+                yield flat
+
+        monkeypatch.setattr(en._NecsGenerator, "generate", spy)
+        for emitted, _ in enumerate(islice(en._necs_stream(11, 2), 2000), start=1):
+            # each size-10 piece yields at least one system before the next
+            assert len(pulled) <= emitted
+        assert pulled and set(pulled) == {10}
 
 
 class TestShiftClasses:

@@ -1,5 +1,8 @@
 """Split trees, the leaf-label map onto natural systems, and enumeration."""
 
+from functools import partial
+from itertools import islice, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +11,7 @@ from necs import congruence as cg
 from necs import series as se
 from necs import trees as tr
 
-from helpers import SCHROEDER, slow, sys_of, tree_count
+from helpers import SCHROEDER, enumerate_trees_recursive, slow, sys_of, tree_count
 
 # near-valid trees: 0 to 4 children per vertex, and an up-degree that
 # mostly matches the child count
@@ -180,3 +183,29 @@ class TestEnumeration:
 
     def test_deterministic_order(self):
         assert list(tr.enumerate_trees(5)) == list(tr.enumerate_trees(5))
+
+
+class TestEnumerationOracle:
+    """The memoized enumeration against the unmemoized recursion: the same
+    trees in the same order."""
+
+    def test_up_to_nine_leaves(self):
+        for k in range(1, 10):
+            assert list(tr.enumerate_trees(k)) == list(enumerate_trees_recursive(k)), k
+
+    def test_streamed_child_list_prefix(self):
+        # the first ten-leaf trees have a nine-leaf first child, beyond the memo
+        got = islice(tr.enumerate_trees(10), 3000)
+        assert list(got) == list(islice(enumerate_trees_recursive(10), 3000))
+
+    def test_streamed_product_is_product(self):
+        factors = [(1, 2), (3,), "ab", (4, 5, 6)]
+        want = list(product(*factors))
+        for streamed in ([1], [2], [0, 3], [0, 1, 2, 3]):
+            mixed = [partial(iter, f) if i in streamed else f for i, f in enumerate(factors)]
+            assert list(tr._streamed_product(mixed)) == want
+        assert list(tr._streamed_product([(1, 2), partial(iter, ())])) == []
+
+    @slow
+    def test_ten_leaves(self):
+        assert list(tr.enumerate_trees(10)) == list(enumerate_trees_recursive(10))
