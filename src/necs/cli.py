@@ -69,6 +69,10 @@ def _default_cache(args) -> str | None:
 
 
 def _emit_count(args) -> int:
+    if args.lcm_max is not None and not args.lcm:
+        raise ValueError("--lcm-max needs --lcm")
+    if args.cache is not None and args.lcm:
+        raise ValueError("--cache holds only the size/gcd table, not --lcm")
     if args.lcm:
         table = ct.count_size_gcd_lcm(args.max_size, args.lcm_max)
     else:
@@ -89,12 +93,16 @@ def _emit_enumerate(args) -> int:
     if args.gcd is not None and not 1 <= args.gcd <= args.size:
         print(f"--gcd must be between 1 and --size ({args.size}), got {args.gcd}", file=sys.stderr)
         return 2
+    if args.ecs and args.canonical == "shift":
+        raise ValueError("--canonical shift applies only to natural systems, not --ecs")
+    if not args.ecs and (args.max_modulus is not None or args.budget is not None):
+        raise ValueError("--max-modulus and --budget need --ecs")
     count_only = args.format == "count-only"
     if args.ecs:
         cfg = en.EcsSearchConfig(
             max_modulus=args.max_modulus, budget_seconds=args.budget, gcd=args.gcd
         )
-        systems = en.enumerate_ecs(args.size, cfg)
+        systems = None if count_only else en.enumerate_ecs(args.size, cfg)
     elif args.canonical == "shift":
         if count_only:
             print(en.shift_class_count(args.size, args.gcd))

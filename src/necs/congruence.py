@@ -104,7 +104,8 @@ class CoveringSystem:
         return isinstance(other, CoveringSystem) and self.classes == other.classes
 
     def __lt__(self, other: "CoveringSystem") -> bool:
-        return self.key() < other.key()
+        # a tuple of pairs orders as its flattening, key()
+        return self.classes < other.classes
 
     def __hash__(self) -> int:
         return hash(self.classes)

@@ -6,12 +6,14 @@ of a unique m-tuple of smaller systems (its contraction by m), so
 looping over compositions of k, coprime gcd tuples with nonzero counts,
 and recursively generated pieces emits every system exactly once --
 duplicate-freeness comes from the bijection, not from a dedup pass.
-The piece lists of sizes up to _MEMO_MAX_SIZE (9) are built once per
-stream and kept; for each composition, the list of each position is
-<idx, n>-expanded once and the systems are the sorted unions of the
-itertools.product of those lists.  A larger piece list is never held: it
-is streamed afresh, piece by piece, for each combination of the pieces
-before it.
+The stream is one closure pair, shaped like trees.enumerate_trees:
+fresh(j, g) streams the systems of size j and gcd g, and listed(j, g),
+a per-stream functools.cache of fresh, holds the piece lists of sizes
+up to _MEMO_MAX_SIZE (9).  For each composition and gcd tuple, each
+held list is <idx, n>-expanded once, and the systems are the sorted
+unions of the itertools.product of those lists.  A larger piece list is
+never held: it is streamed afresh, piece by piece, for each combination
+of the pieces before it.
 
 Shift classes (orbits under translation) are listed by filtering that
 stream for the systems that are their own least translate; translation
@@ -52,13 +54,13 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import partial
-from itertools import chain, starmap
+from functools import cache, partial
+from itertools import chain, product, starmap
 from math import gcd, lcm
 from typing import Iterable, Iterator
 
 from .congruence import CoveringSystem, ResidueClass, least_translate
-from .counting import CountTable, count_size_gcd, count_size_gcd_period
+from .counting import count_size_gcd, count_size_gcd_period
 from .series import prime_factors
 from .trees import _MEMO_MAX_SIZE, _compositions_colex, _streamed_product
 
@@ -78,79 +80,6 @@ def _expand(piece: Flat, idx: int, n: int) -> Flat:
     return tuple((n * pn, idx + n * pa) for pn, pa in piece)
 
 
-class _NecsGenerator:
-    """Generator for natural systems, memoizing the piece lists of sizes up
-    to _MEMO_MAX_SIZE and streaming the larger ones."""
-
-    def __init__(self, table: CountTable):
-        self.table = table
-        self.memo: dict[tuple[int, int], tuple[Flat, ...]] = {}
-        # gcd values with nonzero counts, per size
-        self.support = {
-            j: tuple(m for m in range(1, j + 1) if table.get(j, m) > 0)
-            for j in range(1, table.max_size + 1)
-        }
-
-    def generate(self, k: int, m: int) -> Iterator[Flat]:
-        if not 1 <= m <= k:
-            return
-        if self.table.get(k, m) == 0:
-            return
-        if k <= _MEMO_MAX_SIZE:
-            yield from self._memoized(k, m)
-        else:
-            yield from self._fresh(k, m)
-
-    def _memoized(self, k: int, m: int) -> tuple[Flat, ...]:
-        got = self.memo.get((k, m))
-        if got is None:
-            got = tuple(self._fresh(k, m))
-            self.memo[k, m] = got
-        return got
-
-    def _fresh(self, k: int, m: int) -> Iterator[Flat]:
-        if m == 1:
-            if k == 1:
-                yield ((1, 0),)
-            return
-        for comp in _compositions_colex(k, m):
-            supports = [self.support[j] for j in comp]
-            for gcds in self._coprime_tuples(supports):
-                yield from self._assemble(comp, gcds)
-
-    def _coprime_tuples(self, supports) -> Iterator[tuple[int, ...]]:
-        n = len(supports)
-
-        def rec(i: int, g: int, acc: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if i == n:
-                if g == 1:
-                    yield acc
-                return
-            for m in supports[i]:
-                yield from rec(i + 1, gcd(g, m), acc + (m,))
-
-        return rec(0, 0, ())
-
-    def _assemble(self, comp, gcds) -> Iterator[Flat]:
-        """The systems whose contraction by n = len(comp) has pieces of the
-        sizes comp and the gcds gcds, the first piece varying slowest.  The
-        memoized piece list of each position is <idx, n>-expanded once, not
-        once per combination of the other pieces; a larger piece list is
-        streamed and expanded piece by piece."""
-        n = len(comp)
-        factors: list = []
-        for idx, (j, m) in enumerate(zip(comp, gcds)):
-            if j <= _MEMO_MAX_SIZE:
-                factors.append(tuple(_expand(p, idx, n) for p in self._memoized(j, m)))
-            else:
-                factors.append(partial(self._expanded_stream, j, m, idx, n))
-        for pieces in _streamed_product(factors):
-            yield tuple(sorted(chain.from_iterable(pieces)))
-
-    def _expanded_stream(self, k: int, m: int, idx: int, n: int) -> Iterator[Flat]:
-        return (_expand(p, idx, n) for p in self.generate(k, m))
-
-
 def _check_size_gcd(k: int, m: int | None) -> None:
     if k < 1:
         raise ValueError("need k >= 1")
@@ -159,9 +88,39 @@ def _check_size_gcd(k: int, m: int | None) -> None:
 
 
 def _necs_stream(k: int, m: int | None) -> Iterator[Flat]:
-    gen = _NecsGenerator(count_size_gcd(k))
-    for mm in range(1, k + 1) if m is None else (m,):
-        yield from gen.generate(k, mm)
+    """The natural systems of size k and gcd m (every gcd if m is None), as
+    flat tuples: compositions, then coprime gcd tuples, then the pieces,
+    the first piece varying slowest."""
+    table = count_size_gcd(k)
+    # gcd values with nonzero counts, per size
+    support = {j: [g for g in range(1, j + 1) if table.get(j, g)] for j in range(1, k + 1)}
+    listed = cache(lambda j, g: tuple(fresh(j, g)))
+
+    def fresh(j: int, g: int) -> Iterator[Flat]:
+        if g == 1:
+            if j == 1:
+                yield ((1, 0),)
+            return
+        # a system of gcd g is the assembly of its contraction by g: one
+        # piece per residue mod g, whose gcds are coprime
+        for comp in _compositions_colex(j, g):
+            for gcds in product(*(support[i] for i in comp)):
+                if gcd(*gcds) != 1:
+                    continue
+                factors = [
+                    tuple(_expand(p, idx, g) for p in listed(i, h))
+                    if i <= _MEMO_MAX_SIZE
+                    else partial(expanded, i, h, idx, g)
+                    for idx, (i, h) in enumerate(zip(comp, gcds))
+                ]
+                for pieces in _streamed_product(factors):
+                    yield tuple(sorted(chain.from_iterable(pieces)))
+
+    def expanded(j: int, g: int, idx: int, n: int) -> Iterator[Flat]:
+        return (_expand(p, idx, n) for p in fresh(j, g))
+
+    for g in range(1, k + 1) if m is None else (m,):
+        yield from fresh(k, g)
 
 
 def enumerate_necs(

@@ -17,7 +17,7 @@ Serialization is nested parentheses with explicit up-degrees: a leaf is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Iterator
 
@@ -161,13 +161,7 @@ def enumerate_trees(k: int) -> Iterator[Tree]:
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    memo: dict[int, tuple[Tree, ...]] = {}
-
-    def listed(j: int) -> tuple[Tree, ...]:
-        got = memo.get(j)
-        if got is None:
-            got = memo[j] = tuple(fresh(j))
-        return got
+    listed = cache(lambda j: tuple(fresh(j)))
 
     def fresh(j: int) -> Iterator[Tree]:
         if j == 1:

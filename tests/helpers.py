@@ -3,6 +3,7 @@
 import os
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -11,7 +12,7 @@ from necs import congruence as cg
 from necs import enumeration as en
 from necs import series as se
 from necs import trees as tr
-from necs.counting import OVERFLOW, count_size_gcd
+from necs.counting import OVERFLOW
 
 slow = pytest.mark.skipif(
     os.environ.get("NECS_SLOW") != "1",
@@ -381,34 +382,38 @@ def tree_count(k):
     return count(k)
 
 
-class NecsGeneratorRecursive(en._NecsGenerator):
-    """Reference assembly of natural systems: recursion over the positions
-    of a composition, expanding each piece by <idx, n> inside the innermost
-    call, once per combination of the other pieces."""
+def necs_stream_recursive(k, m=None):
+    """Reference stream of the natural systems of size k and gcd m (every
+    gcd if m is None), as flat (modulus, offset) tuples in the order of
+    enumerate_necs(ordered=False).  No memo and no count table: the gcd
+    tuples of the pieces are all of 1..j per piece of size j, kept when
+    coprime, every piece list is regenerated for each combination of the
+    pieces before it, and each piece is <idx, n>-expanded in the innermost
+    call."""
+    if m is None:
+        for g in range(1, k + 1):
+            yield from necs_stream_recursive(k, g)
+        return
+    if m == 1:
+        if k == 1:
+            yield ((1, 0),)
+        return
+    for comp in tr._compositions_colex(k, m):
+        for gcds in product(*(range(1, j + 1) for j in comp)):
+            if gcd(*gcds) != 1:
+                continue
 
-    def _assemble(self, comp, gcds):
-        n = len(comp)
+            def rec(i, pieces):
+                if i == m:
+                    out = []
+                    for idx, piece in enumerate(pieces):
+                        out.extend((m * pn, idx + m * pa) for pn, pa in piece)
+                    yield tuple(sorted(out))
+                    return
+                for piece in necs_stream_recursive(comp[i], gcds[i]):
+                    yield from rec(i + 1, pieces + [piece])
 
-        def rec(i, pieces):
-            if i == n:
-                out = []
-                for idx, piece in enumerate(pieces):
-                    out.extend((n * pn, idx + n * pa) for pn, pa in piece)
-                out.sort()
-                yield tuple(out)
-                return
-            for piece in self.generate(comp[i], gcds[i]):
-                pieces.append(piece)
-                yield from rec(i + 1, pieces)
-                pieces.pop()
-
-        return rec(0, [])
-
-
-def necs_stream_recursive(k, m):
-    """Reference stream of the natural systems of size k and gcd m, as flat
-    (modulus, offset) tuples in the order of enumerate_necs(ordered=False)."""
-    return NecsGeneratorRecursive(count_size_gcd(k)).generate(k, m)
+            yield from rec(0, [])
 
 
 def enumerate_trees_recursive(k):

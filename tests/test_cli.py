@@ -372,6 +372,11 @@ class TestUsage:
             ["asympt", "--digits", "5", "--ratios", "-3"],
             ["enumerate", "--size", "3", "--ecs", "--max-modulus", "0"],
             ["count", "--max-size", "3", "--lcm", "--lcm-max", "-5"],
+            ["enumerate", "--size", "3", "--canonical", "shift", "--ecs"],
+            ["enumerate", "--size", "3", "--max-modulus", "1"],
+            ["enumerate", "--size", "3", "--budget", "0"],
+            ["count", "--max-size", "3", "--lcm-max", "5"],
+            ["count", "--max-size", "3", "--lcm", "--cache", "counts.json"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from necs import congruence as cg
+from necs import enumeration as en
 
 from helpers import (
     ERDOS_COVER,
@@ -113,6 +114,14 @@ class TestResidueClass:
     def test_canonical_order(self):
         s = sys_of([(3, 4), (0, 2), (1, 4)])
         assert [(c.offset, c.modulus) for c in s] == [(0, 2), (1, 4), (3, 4)]
+
+    def test_system_order_is_key_order(self):
+        # every exact cover of size <= 6, the sizes shuffled together
+        systems = [s for k in range(1, 7) for s in en.enumerate_necs(k, ordered=False)]
+        random.Random(6).shuffle(systems)
+        by_lt = sorted(systems)
+        assert by_lt == sorted(systems, key=cg.CoveringSystem.key)
+        assert [s.key() for s in by_lt] == sorted(s.key() for s in systems)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match=r"^duplicate class <0,2>$"):

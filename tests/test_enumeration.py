@@ -90,20 +90,28 @@ class TestAssemblyOracle:
         assert list(got) == list(islice(necs_stream_recursive(11, 2), 3000))
 
     def test_large_piece_lists_are_streamed(self, monkeypatch):
-        pulled = []  # one entry per piece taken from a list above the memo bound
-        generate = en._NecsGenerator.generate
+        pulled = []  # one entry per expanded piece from a list above the memo bound
+        expand = en._expand
 
-        def spy(self, k, m):
-            for flat in generate(self, k, m):
-                if en._MEMO_MAX_SIZE < k < 11:
-                    pulled.append(k)
-                yield flat
+        def spy(piece, idx, n):
+            if len(piece) > en._MEMO_MAX_SIZE:
+                pulled.append(len(piece))
+            return expand(piece, idx, n)
 
-        monkeypatch.setattr(en._NecsGenerator, "generate", spy)
+        monkeypatch.setattr(en, "_expand", spy)
         for emitted, _ in enumerate(islice(en._necs_stream(11, 2), 2000), start=1):
             # each size-10 piece yields at least one system before the next
             assert len(pulled) <= emitted
         assert pulled and set(pulled) == {10}
+
+    @slow
+    def test_full_streams_match_recursive_assembly(self):
+        got = list(en._necs_stream(10, None))
+        assert len(got) == A_COUNTS[10]
+        assert got == list(necs_stream_recursive(10))
+        got = list(en._necs_stream(11, 2))
+        assert len(got) == ct.count_size_gcd(11).get(11, 2)
+        assert got == list(necs_stream_recursive(11, 2))
 
 
 class TestShiftClasses:
