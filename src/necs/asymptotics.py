@@ -8,12 +8,17 @@ c * gamma^k * k^(-3/2), where, with M(x) = sum mu(k) x^k:
     d1    = sqrt(-2 M(tau) / M''(tau)),
     c     = d1 / (2 sqrt(pi)) = sqrt(-M(tau) / (2 pi M''(tau))).
 
+The positive zero alpha of M is the radius of convergence of u/M(u).
+
 Everything here runs on base-10 fixed-point numbers over exact integers
 with an explicit rational error bound, so results are reproducible
-digit-for-digit and independent of platform float semantics.  Series
-evaluations carry certified truncation tails (the coefficients of M have
-absolute value at most 1, so tails are geometric once |x| <= 0.71), and
-roots are certified by evaluated sign changes over an explicit bracket.
+digit-for-digit and independent of platform float semantics.  M and its
+derivatives are evaluated by one routine indexed by the derivative order
+d: the coefficient of x^(k-d) in M^(d) is k(k-1)...(k-d+1) mu(k), and
+since |mu(k)| <= 1 the truncation tail after n terms is bounded by the
+same tail of the d-th derivative of the geometric series, summed exactly
+in closed form (|x| <= 0.71).  Roots (tau and beta of M', alpha of M)
+are certified by evaluated sign changes over an explicit bracket.
 
 The refinement by gcd uses the same constants: the number of systems of
 size k and gcd m grows like m tau^(m-1) M'(tau^m) c gamma^k k^(-3/2),
@@ -27,8 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Iterable
+from math import comb, factorial, isqrt, perm
 
 from .counting import CountTable, count_size_gcd
 from .series import mobius_upto
@@ -210,30 +214,15 @@ def _mu(upto: int) -> list[int]:
     return _MU_CACHE
 
 
-def _geom_tails(n: int, r: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact tails of the geometric series and its derivatives from k = n+1:
-    sum r^k, sum k r^(k-1), sum k(k-1) r^(k-2)."""
-    if r == 0:
-        return Fraction(0), Fraction(0), Fraction(0)
-    one = 1 - r
-    rn = r**n
-    s0 = rn * r / one
-    s1 = (n + 1) * rn / one + rn * r / one**2
-    s2 = n * (n + 1) * rn / (r * one) + 2 * (n + 1) * rn / one**2 + 2 * rn * r / one**3
-    return s0, s1, s2
-
-
-# (coefficient multiplier, power shift, tail selector) per series kind:
-#   M   = sum mu(k) x^k            M'  = sum k mu(k) x^(k-1)
-#   M'' = sum k(k-1) mu(k) x^(k-2) G   = sum mu(k) x^(k-1)
-#   G'  = sum (k-1) mu(k) x^(k-2)
-_KINDS = {
-    "M": (lambda k: 1, 0, lambda n, r: _geom_tails(n, r)[0]),
-    "M1": (lambda k: k, 1, lambda n, r: _geom_tails(n, r)[1]),
-    "M2": (lambda k: k * (k - 1), 2, lambda n, r: _geom_tails(n, r)[2]),
-    "G": (lambda k: 1, 1, lambda n, r: _geom_tails(n - 1, r)[0] if n >= 1 else r / (1 - r)),
-    "G1": (lambda k: k - 1, 2, lambda n, r: _geom_tails(n - 1, r)[1]),
-}
+def _tail(d: int, n: int, r: Fraction) -> Fraction:
+    """Exact tail sum_{k>n} k(k-1)...(k-d+1) r^(k-d) of the d-th derivative
+    of the geometric series: with N = n + 1, by Leibniz on r^N / (1-r),
+    d! sum_{j=0..d} C(N, d-j) r^(N-d+j) / (1-r)^(j+1)."""
+    big_n = n + 1
+    return factorial(d) * sum(
+        comb(big_n, d - j) * r ** (big_n - d + j) / (1 - r) ** (j + 1)
+        for j in range(max(0, d - big_n), d + 1)
+    )
 
 
 def _coerce(x, scale: int) -> FixedReal:
@@ -255,98 +244,86 @@ def _round_up(r: Fraction, places: int = 4) -> Fraction:
 
 
 @lru_cache(maxsize=1024)
-def _pick_terms(kind: str, r_up: Fraction, target: Fraction) -> int:
-    """Terms to sum so that the geometric tail bound is at most target.
+def _pick_terms(d: int, r_up: Fraction, target: Fraction) -> int:
+    """Terms to sum so that the tail bound of M^(d) is at most target.
 
     A pure function of its arguments, so it is memoized: root finding
     evaluates many points of one rounded radius at one precision, and
     each miss scans the Fraction tail bounds afresh."""
     if r_up == 0:
-        return 2
-    tail = _KINDS[kind][2]
+        return max(2, d)
     n = 4
-    while tail(n, r_up) > target:
+    while _tail(d, n, r_up) > target:
         n += 8
     return n
 
 
-def _eval_kind(kind: str, x, digits: int) -> FixedReal:
-    """Certified fixed-point sum of the selected Mobius-coefficient series."""
+def _eval_derivative(d: int, x, digits: int) -> FixedReal:
+    """Certified fixed-point sum of M^(d)(x) = sum k(k-1)...(k-d+1) mu(k) x^(k-d)."""
     w = digits + 16
     xf = _coerce(x, w)
     r = _radius_bound(xf)
     r_up = min(_round_up(r), RADIUS_LIMIT)
     target = Fraction(1, 10 ** (digits + 4))
-    n = _pick_terms(kind, r_up, target)
+    n = _pick_terms(d, r_up, target)
     mu = _mu(n)
-    coeff, shift, tail_fn = _KINDS[kind]
 
     unit = 10**w
     xm = xf.mantissa
     xe = int(xf.error_bound * unit) + (1 if xf.error_bound else 0)  # ulps, rounded up
     xa = abs(xm) + xe
 
-    # running power x^(k - shift), advanced by one multiplication per term;
+    # running power x^(k - d), advanced by one multiplication per term;
     # exponent 0 is exactly 1
-    k0 = max(1, shift)
-    p, pe = (xm, xe) if shift == 0 else (unit, 0)
+    k0 = max(1, d)
+    p, pe = (xm, xe) if d == 0 else (unit, 0)
     acc, acc_e = 0, 0
     for k in range(k0, n + 1):
         if k > k0:
             pe = (xa * pe + abs(p) * xe) // unit + 2
             p = _round_div(p * xm, unit)
         if mu[k]:
-            acc += coeff(k) * mu[k] * p
-            acc_e += abs(coeff(k)) * pe
-    tail = tail_fn(n, r_up)
-    return FixedReal(acc, w, Fraction(acc_e, unit) + tail)
+            c = perm(k, d)
+            acc += c * mu[k] * p
+            acc_e += c * pe
+    return FixedReal(acc, w, Fraction(acc_e, unit) + _tail(d, n, r_up))
 
 
 def eval_M(x, digits: int) -> FixedReal:
     """M(x) = sum mu(k) x^k with certified truncation and rounding error."""
-    return _eval_kind("M", x, digits)
+    return _eval_derivative(0, x, digits)
 
 
 def eval_Mprime(x, digits: int) -> FixedReal:
-    return _eval_kind("M1", x, digits)
+    return _eval_derivative(1, x, digits)
 
 
 def eval_Mdoubleprime(x, digits: int) -> FixedReal:
-    return _eval_kind("M2", x, digits)
-
-
-def eval_G(x, digits: int) -> FixedReal:
-    """G(u) = M(u)/u as a series; G(0) = 1."""
-    return _eval_kind("G", x, digits)
-
-
-def eval_Gprime(x, digits: int) -> FixedReal:
-    return _eval_kind("G1", x, digits)
+    return _eval_derivative(2, x, digits)
 
 
 # --- certified root finding ---------------------------------------------------
 
 
-def _float_series(kind: str, x: float, terms: int = 260) -> float:
+def _float_series(d: int, x: float, terms: int = 260) -> float:
     mu = _mu(terms)
-    coeff, shift, _ = _KINDS[kind]
     total = 0.0
-    for k in range(max(1, shift), terms + 1):
+    for k in range(max(1, d), terms + 1):
         if mu[k]:
-            total += coeff(k) * mu[k] * x ** (k - shift)
+            total += perm(k, d) * mu[k] * x ** (k - d)
     return total
 
 
-def _float_seed(kind: str, lo: float, hi: float) -> float:
-    """First sign change of the series scanning from lo toward hi, then
+def _float_seed(d: int, lo: float, hi: float) -> float:
+    """First sign change of M^(d) scanning from lo toward hi, then
     bisected; good to ~1e-12, plenty to seed Newton."""
     steps = 200
     h = (hi - lo) / steps
-    prev_x, prev_v = lo, _float_series(kind, lo)
+    prev_x, prev_v = lo, _float_series(d, lo)
     root_lo = root_hi = None
     for i in range(1, steps + 1):
         x = lo + i * h
-        v = _float_series(kind, x)
+        v = _float_series(d, x)
         if prev_v == 0.0:
             return prev_x
         if v == 0.0 or (v < 0) != (prev_v < 0):
@@ -354,11 +331,11 @@ def _float_seed(kind: str, lo: float, hi: float) -> float:
             break
         prev_x, prev_v = x, v
     if root_lo is None:
-        raise ArithmeticError(f"no sign change of {kind} in [{lo}, {hi}]")
-    f_lo = _float_series(kind, root_lo)
+        raise ArithmeticError(f"no sign change of M^({d}) in [{lo}, {hi}]")
+    f_lo = _float_series(d, root_lo)
     for _ in range(80):
         mid = (root_lo + root_hi) / 2
-        f_mid = _float_series(kind, mid)
+        f_mid = _float_series(d, mid)
         if f_mid == 0.0:
             return mid
         if (f_mid < 0) == (f_lo < 0):
@@ -368,9 +345,9 @@ def _float_seed(kind: str, lo: float, hi: float) -> float:
     return (root_lo + root_hi) / 2
 
 
-def _newton_refine(kind: str, dkind: str, seed: float, digits: int) -> int:
-    """Newton iteration at escalating precision; returns the root mantissa
-    at scale digits (not yet certified)."""
+def _newton_refine(d: int, seed: float, digits: int) -> int:
+    """Newton iteration on M^(d) at escalating precision; returns the root
+    mantissa at scale digits (not yet certified)."""
     target = digits + 6
     w = min(18, target)  # a float seed holds about 16 digits
     x = round(seed * 10**w)
@@ -379,50 +356,51 @@ def _newton_refine(kind: str, dkind: str, seed: float, digits: int) -> int:
         x *= 10 ** (w_next - w)
         w = w_next
         for _ in range(2):
-            f = _eval_kind(kind, FixedReal(x, w), w - 8).mantissa
-            fp = _eval_kind(dkind, FixedReal(x, w), w - 8).mantissa
-            # both mantissas share the scale w + 16 used inside _eval_kind
+            f = _eval_derivative(d, FixedReal(x, w), w - 8).mantissa
+            fp = _eval_derivative(d + 1, FixedReal(x, w), w - 8).mantissa
+            # both mantissas share the scale w + 16 used inside _eval_derivative
             x -= _round_div(f * 10**w, fp)
         if w == target:
             break
     return _round_div(x, 10 ** (w - digits))
 
 
-def _certified_root(kind: str, dkind: str, lo: float, hi: float, digits: int) -> FixedReal:
-    """Root of the given series with error certified by a sign change over
-    the bracket [root - delta, root + delta]."""
+def _certified_root(d: int, lo: float, hi: float, digits: int) -> FixedReal:
+    """Zero of M^(d) with error certified by a sign change over the bracket
+    [root - delta, root + delta]."""
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
-    seed = _float_seed(kind, lo, hi)
+    seed = _float_seed(d, lo, hi)
     scale = digits + 4
-    mant = _newton_refine(kind, dkind, seed, scale)
+    mant = _newton_refine(d, seed, scale)
     delta_exp = digits + 2
     while delta_exp >= digits:
         delta = 10 ** (scale - delta_exp)
-        left = _eval_kind(kind, FixedReal(mant - delta, scale), digits + 8)
-        right = _eval_kind(kind, FixedReal(mant + delta, scale), digits + 8)
+        left = _eval_derivative(d, FixedReal(mant - delta, scale), digits + 8)
+        right = _eval_derivative(d, FixedReal(mant + delta, scale), digits + 8)
         neg_left, pos_left = is_definitely_negative(left), is_definitely_positive(left)
         neg_right, pos_right = is_definitely_negative(right), is_definitely_positive(right)
         if (neg_left and pos_right) or (pos_left and neg_right):
             return FixedReal(mant, scale, Fraction(1, 10**delta_exp))
         delta_exp -= 1  # widen the bracket tenfold and retry
-    raise ArithmeticError(f"could not certify the {kind} root to {digits} digits")
+    raise ArithmeticError(f"could not certify the zero of M^({d}) to {digits} digits")
 
 
 def find_tau(digits: int) -> FixedReal:
     """The positive zero of M', certified to the requested digits."""
-    return _certified_root("M1", "M2", 0.05, 0.66, digits)
+    return _certified_root(1, 0.05, 0.66, digits)
 
 
 def find_beta(digits: int) -> FixedReal:
     """The negative zero of M', certified to the requested digits."""
-    return _certified_root("M1", "M2", -0.05, -0.66, digits)
+    return _certified_root(1, -0.05, -0.66, digits)
 
 
 def find_alpha(digits: int) -> FixedReal:
-    """The positive zero of G(u) = M(u)/u: the radius of convergence of
-    u/M(u), certified to the requested digits."""
-    return _certified_root("G", "G1", 0.05, 0.68, digits)
+    """The positive zero of M: the radius of convergence of u/M(u),
+    certified to the requested digits.  For u > 0, M(u) = u G(u) with
+    G(u) = M(u)/u, so M and G have the same sign and the same zeros."""
+    return _certified_root(0, 0.05, 0.68, digits)
 
 
 # --- the growth constants -----------------------------------------------------
@@ -493,11 +471,10 @@ class RatioReport:
         return all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
-def _ratio_report(k_max: int, table: CountTable | None, count, target_of) -> RatioReport:
+def _ratio_report(k_max: int, count, target_of) -> RatioReport:
     """Rows count(table, k) * k^(3/2) / gamma^k for k = 1..k_max against
-    target_of(constants(40)); the table is filled if it is too short."""
-    if table is None or table.max_size < k_max:
-        table = count_size_gcd(k_max)
+    target_of(constants(40)), with the count table filled to k_max."""
+    table = count_size_gcd(k_max)
     cs = constants(40)
     target = target_of(cs)
     gamma = float(cs.gamma.value())
@@ -508,16 +485,16 @@ def _ratio_report(k_max: int, table: CountTable | None, count, target_of) -> Rat
     return RatioReport(target, tuple(rows))
 
 
-def ratio_check(k_max: int, table: CountTable | None = None) -> RatioReport:
+def ratio_check(k_max: int) -> RatioReport:
     """a_k * k^(3/2) / gamma^k against its limit c, for k = 1..k_max.
 
     Counts come from the dynamic-programming table (an independent path
     from the series reversion).
     """
-    return _ratio_report(k_max, table, CountTable.row_sum, lambda cs: float(cs.c.value()))
+    return _ratio_report(k_max, CountTable.row_sum, lambda cs: float(cs.c.value()))
 
 
-def gcd_ratio_check(k_max: int, m: int, table: CountTable | None = None) -> RatioReport:
+def gcd_ratio_check(k_max: int, m: int) -> RatioReport:
     """a_{k,m} * k^(3/2) / gamma^k against m tau^(m-1) M'(tau^m) c."""
     if m < 1:
         raise ValueError("need m >= 1")
@@ -536,7 +513,7 @@ def gcd_ratio_check(k_max: int, m: int, table: CountTable | None = None) -> Rati
         )
         return float(fx_mul(weight, cs.c, scale).value())
 
-    return _ratio_report(k_max, table, lambda t, k: t.get(k, m), target)
+    return _ratio_report(k_max, lambda t, k: t.get(k, m), target)
 
 
 # --- identity battery ----------------------------------------------------------
@@ -561,15 +538,15 @@ def _lambert_terms(r_up: Fraction, target: Fraction) -> int:
     # |M(y)| <= |y|/(1-|y|) <= 2|y| for |y| <= 1/2, so the tail over m > M
     # is at most 2 sum r^m; r <= 0.71 keeps everything geometric
     m = 4
-    while 2 * _geom_tails(m, r_up)[0] > target:
+    while 2 * _tail(0, m, r_up) > target:
         m += 4
     return m
 
 
-def identity_checks(digits: int, points: Iterable[Fraction] | None = None) -> IdentityReport:
+def identity_checks(digits: int) -> IdentityReport:
     """Certified residuals of three Mobius-series identities.
 
-    At every sample point x (default: tau and two rational points):
+    At tau and at 3/10 and 1/2:
       lambert:          sum_m M(x^m) = x
       derivative-sum:   sum_m m x^(m-1) M'(x^m) = 1
     and at tau only, where M'(tau) = 0 removes the m = 1 term:
@@ -581,11 +558,9 @@ def identity_checks(digits: int, points: Iterable[Fraction] | None = None) -> Id
     inner = digits + 6
     scale = inner + 8
     tau = find_tau(inner + 4)
-    sample = [("tau", rescale(tau, scale))]
-    for p in points if points is not None else (Fraction(3, 10), Fraction(1, 2)):
-        if not 0 < p < Fraction(3, 5):
-            raise ValueError("sample points must lie in (0, 0.6)")
-        sample.append((str(p), from_fraction(p, scale)))
+    sample = [("tau", rescale(tau, scale))] + [
+        (str(p), from_fraction(p, scale)) for p in (Fraction(3, 10), Fraction(1, 2))
+    ]
     target = Fraction(1, 10 ** (digits + 2))
     results = []
     for label, x in sample:
@@ -606,9 +581,9 @@ def identity_checks(digits: int, points: Iterable[Fraction] | None = None) -> Id
                 gcdw = fx_add(gcdw, dterm)
             x_pow = x_m
 
-        lam_tail = 2 * _geom_tails(m_terms, r_up)[0]
+        lam_tail = 2 * _tail(0, m_terms, r_up)
         # |M'(y)| <= 1/(1-|y|)^2 <= 12 on the working disc
-        deriv_tail = 12 * _geom_tails(m_terms, r_up)[1]
+        deriv_tail = 12 * _tail(1, m_terms, r_up)
         results.append(IdentityResult("lambert", label, lam.magnitude_bound() + lam_tail))
         results.append(IdentityResult("derivative-sum", label, deriv.magnitude_bound() + deriv_tail))
         if label == "tau":

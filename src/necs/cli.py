@@ -50,8 +50,7 @@ def _emit_series(args) -> int:
     elif which in _SERIES:
         s = _SERIES[which](args.terms)
     else:
-        print(f"unknown series {which!r}; choose M, A, Am:<m>, phi, schroeder", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown series {which!r}; choose M, A, Am:<m>, phi, schroeder")
     start = 0 if which == "phi" else 1
     for k in range(start, args.terms + 1):
         if args.format == "csv":
@@ -91,8 +90,7 @@ def _emit_count(args) -> int:
 
 def _emit_enumerate(args) -> int:
     if args.gcd is not None and not 1 <= args.gcd <= args.size:
-        print(f"--gcd must be between 1 and --size ({args.size}), got {args.gcd}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--gcd must be between 1 and --size ({args.size}), got {args.gcd}")
     if args.ecs and args.canonical == "shift":
         raise ValueError("--canonical shift applies only to natural systems, not --ecs")
     if not args.ecs and (args.max_modulus is not None or args.budget is not None):
@@ -114,7 +112,7 @@ def _emit_enumerate(args) -> int:
         if count_only:
             print(en.count_ecs(args.size, cfg) if args.ecs else sum(1 for _ in systems))
         elif args.format == "json":
-            print(json.dumps([[[a, n] for n, a in s] for s in systems]))
+            print(json.dumps([cg.json_pairs(s) for s in systems]))
         else:
             first = True
             for s in systems:
@@ -241,8 +239,7 @@ def _emit_trees(args) -> int:
         sys.stdout.write(cg.format_system_text(tr.chi(tree)))
         return 0
     if args.leaves is None:
-        print("need --leaves K or --chi TREE", file=sys.stderr)
-        return 2
+        raise ValueError("need --leaves K or --chi TREE")
     if args.format == "count-only":
         print(sum(1 for _ in tr.enumerate_trees(args.leaves)))
     else:

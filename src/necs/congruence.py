@@ -387,5 +387,10 @@ def parse_system_json(text: str) -> CoveringSystem:
     return CoveringSystem(classes)
 
 
+def json_pairs(c: CoveringSystem) -> list[list[int]]:
+    """The [offset, modulus] pairs that the JSON format lists for a system."""
+    return [[a, n] for n, a in c.classes]
+
+
 def format_system_json(c: CoveringSystem) -> str:
-    return json.dumps([[a, n] for n, a in c.classes])
+    return json.dumps(json_pairs(c))

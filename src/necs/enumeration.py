@@ -181,7 +181,8 @@ class EcsSearchConfig:
     restricts branching to moduli with at least two distinct prime
     factors, since any prime-power modulus forces its prime into every
     other modulus and hence into the gcd.  gcd=m>=2 restricts branching
-    to multiples of m.  max_modulus below 1 raises ValueError.
+    to multiples of m.  max_modulus below 1 and a budget_seconds that is
+    negative or NaN raise ValueError; a budget of 0 aborts at the first check.
     budget_seconds aborts the search distinctly via SearchBudgetExceeded;
     both phases check the deadline every 1024 search nodes, and phase two
     also before each modulus multiset.
@@ -194,6 +195,8 @@ class EcsSearchConfig:
     def __post_init__(self):
         if self.max_modulus is not None and self.max_modulus < 1:
             raise ValueError(f"need max_modulus >= 1, got {self.max_modulus}")
+        if self.budget_seconds is not None and not self.budget_seconds >= 0:
+            raise ValueError(f"need budget_seconds >= 0, got {self.budget_seconds}")
 
 
 def _modulus_multisets(
@@ -563,10 +566,7 @@ def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
     the config's bounds, as flat tuples.  Each phase counts its search
     nodes and checks the deadline every 1024 of them; phase two also
     checks it before it starts on each multiset."""
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if cfg.gcd is not None and not 1 <= cfg.gcd <= k:
-        return
+    _check_size_gcd(k, cfg.gcd)
     deadline = None
     if cfg.budget_seconds is not None:
         deadline = time.monotonic() + cfg.budget_seconds

@@ -1,6 +1,7 @@
 """Fixed-point arithmetic, certified roots, and the growth constants."""
 
 from fractions import Fraction
+from math import factorial, perm
 
 import pytest
 
@@ -92,14 +93,23 @@ class TestSeriesEvaluation:
             asym.eval_M(Fraction(72, 100), 20)
 
     def test_error_bounds_contain_double_precision_recompute(self):
-        # recompute at twice the digits and check containment
-        for x in (Fraction(3, 10), Fraction(-1, 2), Fraction(7, 10)):
-            coarse = asym.eval_M(x, 20)
-            fine = asym.eval_M(x, 40)
-            assert abs(coarse.value() - fine.value()) <= coarse.error_bound
-            coarse_p = asym.eval_Mprime(x, 20)
-            fine_p = asym.eval_Mprime(x, 40)
-            assert abs(coarse_p.value() - fine_p.value()) <= coarse_p.error_bound
+        # recompute at twice the digits and check containment; d = 3, 4 are
+        # the third and fourth derivatives of the next-order growth law
+        for d in range(5):
+            for x in (Fraction(3, 10), Fraction(-1, 2), Fraction(7, 10)):
+                coarse = asym._eval_derivative(d, x, 20)
+                fine = asym._eval_derivative(d, x, 40)
+                assert abs(coarse.value() - fine.value()) <= coarse.error_bound, (d, x)
+
+    @pytest.mark.parametrize("r", [Fraction(3, 10), Fraction(1, 2), Fraction(71, 100)])
+    def test_tail_closed_form(self, r):
+        # the whole d-th derivative of 1/(1-r), and the tail drops one term
+        # at a time
+        for d in range(6):
+            assert asym._tail(d, d - 1, r) == factorial(d) / (1 - r) ** (d + 1)
+            for n in range(d, d + 12):
+                drop = asym._tail(d, n, r) - asym._tail(d, n + 1, r)
+                assert drop == perm(n + 1, d) * r ** (n + 1 - d)
 
     def test_input_error_is_propagated(self):
         wobbly = asym.FixedReal(3 * 10**19, 20, Fraction(1, 10**10))
@@ -135,8 +145,9 @@ class TestRoots:
         assert v.magnitude_bound() < Fraction(1, 10**45)
 
     def test_G_vanishes_at_alpha(self):
+        # alpha is the positive zero of G(u) = M(u)/u, found as the zero of M
         alpha = asym.find_alpha(50)
-        v = asym.eval_G(alpha, 50)
+        v = asym.eval_M(alpha, 50)
         assert v.magnitude_bound() < Fraction(1, 10**45)
 
     def test_tau_inside_disc(self):
@@ -175,23 +186,6 @@ class TestConstants:
         lhs = asym.fx_mul(consts.c, asym.fx_mul(asym.from_fraction(2, 66), asym.fx_sqrt(pi, 66), 66), 66)
         assert abs(lhs.value() - consts.d1.value()) <= lhs.error_bound + consts.d1.error_bound
 
-    def test_characteristic_identity(self):
-        # phi(u) - u phi'(u) = M'(u) / G(u)^2 with phi = 1/G
-        digits = 30
-        scale = digits + 6
-        for num in (5, 15, 25, 35, 45):
-            u = asym.from_fraction(Fraction(num, 100), scale)
-            g = asym.eval_G(u, digits)
-            gp = asym.eval_Gprime(u, digits)
-            g2 = asym.fx_mul(g, g, scale)
-            lhs = asym.fx_add(
-                asym.fx_div(asym.from_fraction(1, scale), g, scale),
-                asym.fx_div(asym.fx_mul(u, gp, scale), g2, scale),
-            )
-            rhs = asym.fx_div(asym.eval_Mprime(u, digits), g2, scale)
-            diff = asym.fx_sub(lhs, rhs)
-            assert diff.magnitude_bound() < Fraction(1, 10 ** (digits - 2))
-
 
 class TestDiagnostics:
     def test_ratio_table(self):
@@ -216,7 +210,3 @@ class TestDiagnostics:
         assert ("derivative-sum", "1/2") in names
         assert ("gcd-weights", "tau") in names
         assert rep.worst() < Fraction(1, 10**30)
-
-    def test_identity_point_validation(self):
-        with pytest.raises(ValueError):
-            asym.identity_checks(20, points=[Fraction(7, 10)])

@@ -160,6 +160,13 @@ class TestEnumerateCommand:
         err = capsys.readouterr().err
         assert "after 0 nodes and 0 solutions" in err
 
+    def test_ecs_budget_abort_json_prints_nothing(self, capsys):
+        code = cli.run(["enumerate", "--size", "9", "--ecs", "--budget", "0", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 5
+        assert captured.out == ""
+        assert captured.err.startswith("search aborted: ")
+
     def test_ecs_max_modulus_bounds_size_two(self, capsys):
         for fmt in ("lines", "json", "count-only"):
             code, out = run_cli(
@@ -182,7 +189,7 @@ class TestEnumerateCommand:
         out = capsys.readouterr()
         assert code == 2
         assert out.out == ""
-        assert out.err.startswith("--gcd must be between 1 and --size (5)")
+        assert out.err.startswith("enumerate: --gcd must be between 1 and --size (5)")
         assert out.err.count("\n") == 1
 
 
@@ -377,6 +384,10 @@ class TestUsage:
             ["enumerate", "--size", "3", "--budget", "0"],
             ["count", "--max-size", "3", "--lcm-max", "5"],
             ["count", "--max-size", "3", "--lcm", "--cache", "counts.json"],
+            ["enumerate", "--size", "9", "--ecs", "--format", "count-only", "--budget", "-1"],
+            ["enumerate", "--size", "9", "--ecs", "--format", "count-only", "--budget", "nan"],
+            ["series", "--which", "Q"],
+            ["trees"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):

@@ -179,9 +179,12 @@ class TestEcsSearch:
     def test_gcd_restricted(self):
         table = ct.count_size_gcd(6)
         for k in range(2, 7):
-            for m in (1, 2, 3):
+            for m in range(1, min(k, 3) + 1):
                 cnt = sum(1 for _ in en.enumerate_ecs(k, en.EcsSearchConfig(gcd=m), ordered=False))
                 assert cnt == table.get(k, m), (k, m)
+        # a gcd above the size is a usage error, as for the natural systems
+        with pytest.raises(ValueError, match="need 1 <= m <= k"):
+            en.count_ecs(2, en.EcsSearchConfig(gcd=3))
 
     def test_found_systems_verify(self):
         for s in en.enumerate_ecs(5, ordered=False):
@@ -252,6 +255,12 @@ class TestEcsSearch:
     def test_max_modulus_below_one_rejected(self, bound):
         with pytest.raises(ValueError):
             en.EcsSearchConfig(max_modulus=bound)
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan")])
+    def test_negative_or_nan_budget_rejected(self, budget):
+        # every comparison with NaN is false, so a NaN budget would never abort
+        with pytest.raises(ValueError, match="need budget_seconds >= 0"):
+            en.EcsSearchConfig(budget_seconds=budget)
 
     def test_counts_equal_natural_counts(self):
         for k in range(1, 8):
