@@ -15,6 +15,7 @@ cover; `check` uses 4 the same way; `enumerate --ecs` uses 5 when its
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -211,6 +212,8 @@ def _emit_asympt(args) -> int:
 
 
 def _emit_poly(args) -> int:
+    if args.check_diffs < 0:
+        raise ValueError(f"need --check-diffs >= 0, got {args.check_diffs}")
     bp = pb.binomial_coeffs(args.n)
     if args.format == "csv":
         print("n,k,coefficient")
@@ -234,6 +237,8 @@ def _emit_poly(args) -> int:
 
 
 def _emit_trees(args) -> int:
+    if args.chi is not None and args.leaves is not None:
+        raise ValueError("give --leaves K or --chi TREE, not both")
     if args.chi is not None:
         tree = tr.parse_tree(args.chi)
         sys.stdout.write(cg.format_system_text(tr.chi(tree)))
@@ -303,7 +308,14 @@ def _emit_verify(args) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
+
+    `run` calls it for each command, so the first call builds the tree and
+    later calls return the same object: do not mutate it.  Parsing keeps no
+    state in it; each `parse_args` fills a fresh namespace.
+    """
     p = argparse.ArgumentParser(prog="necs", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -24,8 +24,10 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .series import prime_factors
@@ -149,7 +151,9 @@ def is_exact(c: CoveringSystem) -> bool:
     exactly 1 in exact rationals; disjoint classes of total density 1
     necessarily cover.
     """
-    cs = c.classes
+    # slices of a list, not of the tuple: short tuple slices pile up in
+    # CPython's tuple free lists until a full garbage collection
+    cs = list(c.classes)
     for i, (n, a) in enumerate(cs):
         for m, b in cs[i + 1 :]:
             # ResidueClass.intersects, inlined: a method call per pair
@@ -258,7 +262,9 @@ def naturality_witness(c: CoveringSystem):
         if piece == [(1, 0)]:
             arities.append(0)
             continue
-        g = gcd(*(m for m, _ in piece))
+        # reduce, not gcd(*...): an argument tuple per piece would pile up
+        # in CPython's tuple free lists until a full garbage collection
+        g = reduce(gcd, map(itemgetter(0), piece))
         # g divides each modulus, so the density is at most len(piece) / g
         if len(piece) < g or g == 1 and not is_exact(c):
             raise NotExactCoverError("input does not partition the integers")

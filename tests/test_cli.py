@@ -1,10 +1,19 @@
 """Command-line surface: exit codes, formats, goldens."""
 
+import contextlib
+import gc
+import io
 import json
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
 
 from necs import cli
+from necs import congruence as cg
 
 from helpers import (
     ERDOS_COVER,
@@ -388,6 +397,8 @@ class TestUsage:
             ["enumerate", "--size", "9", "--ecs", "--format", "count-only", "--budget", "nan"],
             ["series", "--which", "Q"],
             ["trees"],
+            ["poly", "--n", "3", "--check-diffs", "-1"],
+            ["trees", "--leaves", "3", "--chi", "(2 () ())"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):
@@ -403,3 +414,117 @@ class TestUsage:
 
     def test_missing_command_rejected(self):
         assert cli.run([]) == 2
+
+
+class TestParserCache:
+    """`run` parses every command with the one parser of the process."""
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_usage_error_then_valid_call(self, capsys):
+        assert cli.run(["series", "--which", "A", "--terms", "x"]) == 2
+        capsys.readouterr()
+        code, out = run_cli(capsys, "series", "--which", "A", "--terms", "3")
+        assert (code, out) == (0, "1\n1\n3\n")
+
+    def test_no_option_value_leaks_into_the_next_call(self, capsys):
+        code, out = run_cli(capsys, "enumerate", "--size", "4", "--gcd", "2", "--format", "count-only")
+        assert (code, out) == (0, "6\n")
+        code, out = run_cli(capsys, "enumerate", "--size", "4", "--format", "count-only")
+        assert (code, out) == (0, "10\n")
+
+    def test_help_is_the_same_twice(self, capsys):
+        first = run_cli(capsys, "--help")
+        second = run_cli(capsys, "--help")
+        assert first == second
+        assert first[0] == 0 and first[1].startswith("usage: necs ")
+
+
+def natural_system(seed: int, size: int) -> cg.CoveringSystem:
+    """{<0,1>} r-split at random classes, arities 2, 3, 5 and 7, until it
+    has at least `size` classes."""
+    rng = random.Random(seed)
+    c = cg.TRIVIAL
+    while len(c) < size:
+        c = cg.r_split(c, rng.choice(c.classes), rng.choice((2, 3, 5, 7)))
+    return c
+
+
+class TestRecognizeMemory:
+    def test_repeated_recognize_keeps_no_memory(self, tmp_path):
+        # Leaks that a garbage collection would hide: cyclic garbage left
+        # by rebuilding the parser on every call, and temporary tuples of
+        # at most 20 items, which CPython keeps on per-length free lists
+        # until a full collection empties them (on 3.11 and 3.12 a
+        # 20-item tuple goes on its list and is never taken off again).
+        nat = natural_system(1, 290)
+        # exact but not natural, so that is_exact runs once per command
+        not_natural = []
+        for seed in range(8):
+            c = sys_of(NON_NATURAL_13)
+            rng = random.Random(seed)
+            while len(c) < 24:
+                c = cg.r_split(c, rng.choice(c.classes), rng.choice((2, 3)))
+            not_natural.append(c.classes)
+        # the Path objects stay alive, and with them the interned strings of
+        # their parts: pathlib interns the parts again on every read, and
+        # fresh intern-table entries would resize that table mid-measurement
+        files = []
+        for i, (classes, rc) in enumerate(
+            [(nat.classes, 0), (nat.classes[1:], 4)] + [(c, 3) for c in not_natural]
+        ):
+            path = tmp_path / f"{i}.txt"
+            path.write_text("".join(f"{a} mod {n}\n" for n, a in classes))
+            files.append((["recognize", str(path)], rc, path))
+
+        def rounds(k):
+            for _ in range(k):
+                for argv, rc, _ in files:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        assert cli.run(argv) == rc
+
+        if tracemalloc.is_tracing():
+            pytest.skip("memory is already traced")
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rounds(3)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                rounds(100)
+                grown = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        finally:
+            if enabled:
+                gc.enable()
+        assert grown < 64 * 1024
+
+
+class TestMain:
+    """`python -m necs.cli`, the path of the console script."""
+
+    @staticmethod
+    def main(*argv, stdin=""):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "necs.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    @pytest.mark.parametrize(
+        "pairs, code",
+        [([(0, 2), (1, 4), (3, 4)], 0), (NON_NATURAL_13, 3), (ERDOS_COVER, 4)],
+    )
+    def test_recognize_stdin_exit_codes(self, pairs, code):
+        done = self.main("recognize", "-", stdin="".join(f"{a} mod {n}\n" for a, n in pairs))
+        assert (done.returncode, done.stderr) == (code, "")
+        assert len(done.stdout.splitlines()) == 1
+
+    def test_help(self):
+        done = self.main("--help")
+        assert done.returncode == 0
+        assert done.stdout.startswith("usage: necs ")
