@@ -238,9 +238,14 @@ def _radius_bound(x: FixedReal) -> Fraction:
     return r
 
 
+def _ceil_div(a: int, b: int) -> int:
+    """Smallest integer >= a/b; b > 0."""
+    return -(-a // b)
+
+
 def _round_up(r: Fraction, places: int = 4) -> Fraction:
     q = 10**places
-    return Fraction(-((-r.numerator * q) // r.denominator), q)
+    return Fraction(_ceil_div(r.numerator * q, r.denominator), q)
 
 
 @lru_cache(maxsize=1024)
@@ -534,11 +539,20 @@ class IdentityReport:
         return max(r.residual_bound for r in self.results)
 
 
+def _lambert_tails(m: int, r_up: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds on the tails over m' > m of the Lambert sum and of the
+    derivative sum, for |x| <= r_up.
+
+    |M(y)| <= |y|/(1-|y|) <= 2|y| for |y| <= 1/2, so the first is at most
+    2 sum r^m'; |M'(y)| <= 1/(1-|y|)^2 <= 12 on the working disc, so the
+    second is at most 12 sum m' r^(m'-1).  r <= 0.71 keeps both geometric."""
+    return 2 * _tail(0, m, r_up), 12 * _tail(1, m, r_up)
+
+
 def _lambert_terms(r_up: Fraction, target: Fraction) -> int:
-    # |M(y)| <= |y|/(1-|y|) <= 2|y| for |y| <= 1/2, so the tail over m > M
-    # is at most 2 sum r^m; r <= 0.71 keeps everything geometric
+    """Terms to sum so that both tails of _lambert_tails fit the target."""
     m = 4
-    while 2 * _tail(0, m, r_up) > target:
+    while max(_lambert_tails(m, r_up)) > target:
         m += 4
     return m
 
@@ -551,43 +565,77 @@ def identity_checks(digits: int) -> IdentityReport:
       derivative-sum:   sum_m m x^(m-1) M'(x^m) = 1
     and at tau only, where M'(tau) = 0 removes the m = 1 term:
       gcd-weights:      sum_{m>=2} m tau^(m-1) M'(tau^m) = 1
-    Truncation points are chosen so the certified tail fits the digit
-    budget; each residual bound includes all rounding, input and tail
-    error.
+    The sums stop at the first multiple of 4 terms where both the Lambert
+    tail and the derivative tail are at most half of 10^-(digits+2), which
+    leaves the other half for rounding; each residual bound includes all
+    rounding, input and tail error.
+
+    The sums run on integers: values are exact mantissas, and every error
+    is a whole number of ulps of the grid 10^-places, places = digits + 44.
+    Each error term (a product's rounding and propagated errors, the bound
+    of each M and M' value, the two tails) is rounded up onto the grid, so
+    every bound is at least the exact rational bound and stays certified,
+    while its size stays O(digits) however many terms are summed.  The
+    mantissas are those of fixed-point arithmetic at the working scale.
     """
     inner = digits + 6
     scale = inner + 8
+    places = scale + 30
+    unit = 10**places
+    to_grid = 10 ** (places - scale)
     tau = find_tau(inner + 4)
     sample = [("tau", rescale(tau, scale))] + [
         (str(p), from_fraction(p, scale)) for p in (Fraction(3, 10), Fraction(1, 2))
     ]
     target = Fraction(1, 10 ** (digits + 2))
+
+    def ulps(e: Fraction) -> int:
+        return _ceil_div(e.numerator * unit, e.denominator)
+
+    def mul(a: int, ae: int, b: int, be: int, b_scale: int) -> tuple[int, int]:
+        # a / 10^scale times b / 10^b_scale, rounded to the scale as fx_mul
+        # rounds, with errors ae and be in ulps; the product's error is the
+        # rounding plus |a| be + |b| ae + ae be, each term rounded up
+        b_unit = 10**b_scale
+        q = _round_div(a * b, b_unit)
+        err = (
+            _ceil_div(abs(q * b_unit - a * b) * to_grid, b_unit)
+            + _ceil_div(abs(a) * be, 10**scale)
+            + _ceil_div(abs(b) * ae, b_unit)
+            + _ceil_div(ae * be, unit)
+        )
+        return q, err
+
     results = []
     for label, x in sample:
         r_up = _round_up(x.magnitude_bound())
-        m_terms = _lambert_terms(r_up, target)
+        m_terms = _lambert_terms(r_up, target / 2)  # the other half is for rounding
 
-        lam = fx_neg(x)
-        deriv = from_fraction(-1, scale)
-        gcdw = from_fraction(-1, scale)
-        x_pow = from_fraction(1, scale)  # x^(m-1)
+        # each sum is a mantissa at the grid plus its error in grid ulps
+        xm, xe = x.mantissa, ulps(x.error_bound)
+        lam, lam_e = -xm * to_grid, xe
+        deriv = gcdw = -unit
+        deriv_e = gcdw_e = 0
+        p, pe = 10**scale, 0  # x^(m-1) at the scale
         for m in range(1, m_terms + 1):
-            x_m = fx_mul(x_pow, x, scale)
-            lam = fx_add(lam, eval_M(x_m, inner))
-            dterm = fx_mul(fx_mul(from_fraction(m, scale), x_pow, scale),
-                           eval_Mprime(x_m, inner), scale)
-            deriv = fx_add(deriv, dterm)
+            q, qe = mul(p, pe, xm, xe, scale)  # x^m
+            x_m = FixedReal(q, scale, Fraction(qe, unit))
+            v = eval_M(x_m, inner)
+            lam += v.mantissa * 10 ** (places - v.scale)
+            lam_e += ulps(v.error_bound)
+            v = eval_Mprime(x_m, inner)
+            dterm, dterm_e = mul(m * p, m * pe, v.mantissa, ulps(v.error_bound), v.scale)
+            deriv += dterm * to_grid
+            deriv_e += dterm_e
             if label == "tau" and m >= 2:
-                gcdw = fx_add(gcdw, dterm)
-            x_pow = x_m
+                gcdw += dterm * to_grid
+                gcdw_e += dterm_e
+            p, pe = q, qe
 
-        lam_tail = 2 * _tail(0, m_terms, r_up)
-        # |M'(y)| <= 1/(1-|y|)^2 <= 12 on the working disc
-        deriv_tail = 12 * _tail(1, m_terms, r_up)
-        results.append(IdentityResult("lambert", label, lam.magnitude_bound() + lam_tail))
-        results.append(IdentityResult("derivative-sum", label, deriv.magnitude_bound() + deriv_tail))
+        lam_tail, deriv_tail = map(ulps, _lambert_tails(m_terms, r_up))
+        sums = [("lambert", lam, lam_e + lam_tail), ("derivative-sum", deriv, deriv_e + deriv_tail)]
         if label == "tau":
-            results.append(
-                IdentityResult("gcd-weights", label, gcdw.magnitude_bound() + deriv_tail)
-            )
+            sums.append(("gcd-weights", gcdw, gcdw_e + deriv_tail))
+        for name, total, err in sums:
+            results.append(IdentityResult(name, label, Fraction(abs(total) + err, unit)))
     return IdentityReport(tuple(results))

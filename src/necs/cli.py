@@ -163,13 +163,22 @@ def _emit_check(args) -> int:
 
 
 def _fixed_json(x: asym.FixedReal) -> dict:
-    err = x.error_bound
-    return {
-        "mantissa": str(x.mantissa),
-        "scale": x.scale,
-        "error_bound": f"{err.numerator}/{err.denominator}",
-        "decimal": x.decimal(),
-    }
+    # exact error bounds pass CPython's int-to-str digit limit from about
+    # --digits 400, so the limit is lifted for this call where there is one
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        err = x.error_bound
+        return {
+            "mantissa": str(x.mantissa),
+            "scale": x.scale,
+            "error_bound": f"{err.numerator}/{err.denominator}",
+            "decimal": x.decimal(),
+        }
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit_asympt(args) -> int:

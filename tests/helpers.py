@@ -8,6 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
+from necs import asymptotics as asym
 from necs import congruence as cg
 from necs import enumeration as en
 from necs import series as se
@@ -640,3 +641,49 @@ def _splits_into_equal_parts_fractions(items, parts, target):
         return False
 
     return place(0)
+
+
+def identity_checks_exact(digits):
+    """The identity battery with exact rational error bounds throughout.
+
+    The same sums, sample points and truncation rule as
+    `asymptotics.identity_checks`, run on `FixedReal` arithmetic with no
+    rounding of the bounds: their denominators grow with every term
+    (thousands of digits at 35 digits), so this is a test oracle only.
+    Returns (name, point, residual bound) triples in the battery's order.
+    """
+    inner = digits + 6
+    scale = inner + 8
+    tau = asym.find_tau(inner + 4)
+    sample = [("tau", asym.rescale(tau, scale))] + [
+        (str(p), asym.from_fraction(p, scale)) for p in (Fraction(3, 10), Fraction(1, 2))
+    ]
+    target = Fraction(1, 10 ** (digits + 2))
+    results = []
+    for label, x in sample:
+        r_up = asym._round_up(x.magnitude_bound())
+        m_terms = asym._lambert_terms(r_up, target / 2)
+
+        lam = asym.fx_neg(x)
+        deriv = asym.from_fraction(-1, scale)
+        gcdw = asym.from_fraction(-1, scale)
+        x_pow = asym.from_fraction(1, scale)  # x^(m-1)
+        for m in range(1, m_terms + 1):
+            x_m = asym.fx_mul(x_pow, x, scale)
+            lam = asym.fx_add(lam, asym.eval_M(x_m, inner))
+            dterm = asym.fx_mul(
+                asym.fx_mul(asym.from_fraction(m, scale), x_pow, scale),
+                asym.eval_Mprime(x_m, inner),
+                scale,
+            )
+            deriv = asym.fx_add(deriv, dterm)
+            if label == "tau" and m >= 2:
+                gcdw = asym.fx_add(gcdw, dterm)
+            x_pow = x_m
+
+        lam_tail, deriv_tail = asym._lambert_tails(m_terms, r_up)
+        results.append(("lambert", label, lam.magnitude_bound() + lam_tail))
+        results.append(("derivative-sum", label, deriv.magnitude_bound() + deriv_tail))
+        if label == "tau":
+            results.append(("gcd-weights", label, gcdw.magnitude_bound() + deriv_tail))
+    return results

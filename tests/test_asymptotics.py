@@ -7,6 +7,8 @@ import pytest
 
 from necs import asymptotics as asym
 
+from helpers import identity_checks_exact, slow
+
 # decimal expansions as printed to their full stated precision
 TAU_DIGITS = "0.32299391330283353998122564696308569320205174841752276244233373344634953499"
 BETA_DIGITS = "-0.562976540744649358189645954216416402249939799218087618317349878994076506622"
@@ -210,3 +212,29 @@ class TestDiagnostics:
         assert ("derivative-sum", "1/2") in names
         assert ("gcd-weights", "tau") in names
         assert rep.worst() < Fraction(1, 10**30)
+
+
+class TestIdentityBattery:
+    @pytest.mark.parametrize("digits", [1, 10, 35])
+    def test_residuals_fit_the_target(self, digits):
+        # both truncation tails are sized, so the whole bound fits
+        assert asym.identity_checks(digits).worst() <= Fraction(1, 10 ** (digits + 2))
+
+    @pytest.mark.parametrize("digits", [5, 10, 35, pytest.param(60, marks=slow)])
+    def test_grid_bounds_against_exact_oracle(self, digits):
+        # rounding the bounds up onto the grid loosens each one, by far less
+        # than any digit the battery reports
+        got = [(r.name, r.point, r.residual_bound) for r in asym.identity_checks(digits).results]
+        want = identity_checks_exact(digits)
+        assert [g[:2] for g in got] == [w[:2] for w in want]
+        for (name, point, bound), (_, _, exact) in zip(got, want):
+            assert exact <= bound < exact + Fraction(1, 10 ** (digits + 20)), (name, point)
+
+    def test_residual_bounds_stay_on_the_grid(self):
+        # every error is carried in ulps of 10^-places, places = digits + 44;
+        # the exact rational bounds of identity_checks_exact have
+        # denominators of about 4,060 digits here
+        digits = 35
+        grid = 10 ** (digits + 44)
+        for r in asym.identity_checks(digits).results:
+            assert grid % r.residual_bound.denominator == 0, (r.name, r.point)

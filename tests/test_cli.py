@@ -9,9 +9,13 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
+from math import isclose, log10
+from pathlib import Path
 
 import pytest
 
+from necs import asymptotics as asym
 from necs import cli
 from necs import congruence as cg
 
@@ -21,8 +25,11 @@ from helpers import (
     NON_NATURAL_13,
     SHIFT_CLASS_COUNTS,
     shift_class_counts_stream,
+    slow,
     sys_of,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +329,53 @@ class TestAsymptCommand:
     def test_ratios_flag(self, capsys):
         code, out = run_cli(capsys, "asympt", "--digits", "10", "--ratios", "8")
         assert "k=  8" in out
+
+    ARGV = ["asympt", "--digits", "30", "--identities", "--ratios", "5"]
+
+    def test_golden_text(self, capsys):
+        code, out = run_cli(capsys, *self.ARGV)
+        assert code == 0
+        assert out == (GOLDEN / "asympt_digits30_identities_ratios5.txt").read_text()
+
+    def test_golden_json(self, capsys):
+        code, out = run_cli(capsys, *self.ARGV, "--json")
+        assert code == 0
+        got = json.loads(out)
+        want = json.loads((GOLDEN / "asympt_digits30_identities_ratios5.json").read_text())
+
+        # the floats (ratio rows, residual bounds) come from libm, which may
+        # differ in the last bit across platforms; everything else is exact
+        def same(a, b):
+            if isinstance(a, float) or isinstance(b, float):
+                return isclose(a, b, rel_tol=1e-12)
+            if isinstance(a, (list, dict)):
+                keys = range(len(a)) if isinstance(a, list) else a.keys()
+                return len(a) == len(b) and all(same(a[k], b[k]) for k in keys)
+            return a == b
+
+        assert same(got, want)
+
+    def test_json_bound_past_int_str_limit(self):
+        # CPython refuses str() of ints over 4,300 digits by default; the
+        # exact bounds of --digits 400 pass that, so _fixed_json lifts it
+        den = 3**10500
+        digits = int(10500 * log10(3)) + 1  # 5,010
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        blob = cli._fixed_json(asym.FixedReal(7, 2, Fraction(1, den)))
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+        num, den_text = blob["error_bound"].split("/")
+        assert num == "1" and len(den_text) == digits
+        assert den_text[:20] == str(den // 10 ** (digits - 20))
+        assert den_text[-20:] == str(den % 10**20).zfill(20)
+        assert blob["decimal"] == "0.07"
+
+    @slow
+    def test_json_at_400_digits(self, capsys):
+        code, out = run_cli(capsys, "asympt", "--digits", "400", "--json")
+        assert code == 0
+        blob = json.loads(out)
+        assert len(blob["c"]["error_bound"].split("/")[1]) > 4300
+        assert blob["c"]["decimal"].startswith("0.0809422941860973003586157712")
 
 
 class TestPolyAndTrees:
