@@ -18,7 +18,11 @@ d: the coefficient of x^(k-d) in M^(d) is k(k-1)...(k-d+1) mu(k), and
 since |mu(k)| <= 1 the truncation tail after n terms is bounded by the
 same tail of the d-th derivative of the geometric series, summed exactly
 in closed form (|x| <= 0.71).  Roots (tau and beta of M', alpha of M)
-are certified by evaluated sign changes over an explicit bracket.
+are found from an exact rational bracket holding one sign change: it is
+bisected on the sign of the certified evaluator down to one ulp at scale
+12, Newton refines that mantissa while the scale doubles, and a sign
+change over a bracket around the result certifies it.  No floating-point
+value enters a root or a constant.
 
 The refinement by gcd uses the same constants: the number of systems of
 size k and gcd m grows like m tau^(m-1) M'(tau^m) c gamma^k k^(-3/2),
@@ -265,6 +269,8 @@ def _pick_terms(d: int, r_up: Fraction, target: Fraction) -> int:
 
 def _eval_derivative(d: int, x, digits: int) -> FixedReal:
     """Certified fixed-point sum of M^(d)(x) = sum k(k-1)...(k-d+1) mu(k) x^(k-d)."""
+    if digits < 0:
+        raise ValueError(f"need digits >= 0, got {digits}")
     w = digits + 16
     xf = _coerce(x, w)
     r = _radius_bound(xf)
@@ -310,52 +316,13 @@ def eval_Mdoubleprime(x, digits: int) -> FixedReal:
 # --- certified root finding ---------------------------------------------------
 
 
-def _float_series(d: int, x: float, terms: int = 260) -> float:
-    mu = _mu(terms)
-    total = 0.0
-    for k in range(max(1, d), terms + 1):
-        if mu[k]:
-            total += perm(k, d) * mu[k] * x ** (k - d)
-    return total
-
-
-def _float_seed(d: int, lo: float, hi: float) -> float:
-    """First sign change of M^(d) scanning from lo toward hi, then
-    bisected; good to ~1e-12, plenty to seed Newton."""
-    steps = 200
-    h = (hi - lo) / steps
-    prev_x, prev_v = lo, _float_series(d, lo)
-    root_lo = root_hi = None
-    for i in range(1, steps + 1):
-        x = lo + i * h
-        v = _float_series(d, x)
-        if prev_v == 0.0:
-            return prev_x
-        if v == 0.0 or (v < 0) != (prev_v < 0):
-            root_lo, root_hi = prev_x, x
-            break
-        prev_x, prev_v = x, v
-    if root_lo is None:
-        raise ArithmeticError(f"no sign change of M^({d}) in [{lo}, {hi}]")
-    f_lo = _float_series(d, root_lo)
-    for _ in range(80):
-        mid = (root_lo + root_hi) / 2
-        f_mid = _float_series(d, mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_mid < 0) == (f_lo < 0):
-            root_lo, f_lo = mid, f_mid
-        else:
-            root_hi = mid
-    return (root_lo + root_hi) / 2
-
-
-def _newton_refine(d: int, seed: float, digits: int) -> int:
-    """Newton iteration on M^(d) at escalating precision; returns the root
+def _newton_refine(d: int, seed: int, digits: int) -> int:
+    """Newton iteration on M^(d) from the mantissa seed at scale 12, with
+    the working scale doubled after every two steps; returns the root
     mantissa at scale digits (not yet certified)."""
     target = digits + 6
-    w = min(18, target)  # a float seed holds about 16 digits
-    x = round(seed * 10**w)
+    w = min(12, target)
+    x = _round_div(seed, 10 ** (12 - w))
     while True:
         w_next = min(2 * w, target)
         x *= 10 ** (w_next - w)
@@ -370,14 +337,31 @@ def _newton_refine(d: int, seed: float, digits: int) -> int:
     return _round_div(x, 10 ** (w - digits))
 
 
-def _certified_root(d: int, lo: float, hi: float, digits: int) -> FixedReal:
-    """Zero of M^(d) with error certified by a sign change over the bracket
-    [root - delta, root + delta]."""
+def _certified_root(d: int, lo: Fraction, hi: Fraction, digits: int) -> FixedReal:
+    """Zero of M^(d) in the bracket [lo, hi] with error certified by a sign
+    change over [root - delta, root + delta].
+
+    Newton is seeded by bisecting [lo, hi] on the sign of the certified
+    M^(d) at scale 12 until the bracket is one ulp wide, so the bracket
+    must hold exactly one sign change."""
     if digits < 1:
         raise ValueError(f"need digits >= 1, got {digits}")
-    seed = _float_seed(d, lo, hi)
+
+    def negative(m: int) -> bool:
+        return _eval_derivative(d, FixedReal(m, 12), 10).mantissa < 0
+
+    a, b = round(lo * 10**12), round(hi * 10**12)
+    neg_a = negative(a)
+    if neg_a == negative(b):
+        raise ArithmeticError(f"no sign change of M^({d}) in [{lo}, {hi}]")
+    while abs(b - a) > 1:
+        mid = (a + b) // 2
+        if negative(mid) == neg_a:
+            a = mid
+        else:
+            b = mid
     scale = digits + 4
-    mant = _newton_refine(d, seed, scale)
+    mant = _newton_refine(d, a, scale)
     delta_exp = digits + 2
     while delta_exp >= digits:
         delta = 10 ** (scale - delta_exp)
@@ -393,19 +377,19 @@ def _certified_root(d: int, lo: float, hi: float, digits: int) -> FixedReal:
 
 def find_tau(digits: int) -> FixedReal:
     """The positive zero of M', certified to the requested digits."""
-    return _certified_root(1, 0.05, 0.66, digits)
+    return _certified_root(1, Fraction(1, 20), Fraction(33, 50), digits)
 
 
 def find_beta(digits: int) -> FixedReal:
     """The negative zero of M', certified to the requested digits."""
-    return _certified_root(1, -0.05, -0.66, digits)
+    return _certified_root(1, Fraction(-1, 20), Fraction(-33, 50), digits)
 
 
 def find_alpha(digits: int) -> FixedReal:
     """The positive zero of M: the radius of convergence of u/M(u),
     certified to the requested digits.  For u > 0, M(u) = u G(u) with
     G(u) = M(u)/u, so M and G have the same sign and the same zeros."""
-    return _certified_root(0, 0.05, 0.68, digits)
+    return _certified_root(0, Fraction(1, 20), Fraction(17, 25), digits)
 
 
 # --- the growth constants -----------------------------------------------------
@@ -478,11 +462,18 @@ class RatioReport:
 
 def _ratio_report(k_max: int, count, target_of) -> RatioReport:
     """Rows count(table, k) * k^(3/2) / gamma^k for k = 1..k_max against
-    target_of(constants(40)), with the count table filled to k_max."""
-    table = count_size_gcd(k_max)
+    target_of(constants(40)), with the count table filled to k_max.
+
+    gamma^k is a float, so a k_max whose gamma^k_max overflows one is
+    refused before the table is filled."""
     cs = constants(40)
-    target = target_of(cs)
     gamma = float(cs.gamma.value())
+    try:
+        gamma**k_max
+    except OverflowError:
+        raise ValueError(f"gamma^k overflows a float at k = {k_max}") from None
+    table = count_size_gcd(k_max)
+    target = target_of(cs)
     rows = []
     for k in range(1, k_max + 1):
         ratio = count(table, k) * k**1.5 / gamma**k

@@ -189,22 +189,23 @@ def _emit_asympt(args) -> int:
     values = dict(cs.as_dict())
     values["alpha"] = asym.find_alpha(d)
     values["beta"] = asym.find_beta(d)
+    # the ratio report may refuse its K, so it is built before any output
+    ratios = asym.ratio_check(args.ratios) if args.ratios else None
     if args.json:
         blob = {name: _fixed_json(v) for name, v in values.items()}
     else:
         width = max(len(n) for n in values)
         for name, v in values.items():
             print(f"{name:<{width}} = {v.decimal(d)}")
-    if args.ratios:
-        rep = asym.ratio_check(args.ratios)
+    if ratios is not None:
         if args.json:
             blob["ratios"] = {
-                "target": rep.target,
-                "rows": [[r.k, r.ratio, r.gap] for r in rep.rows],
+                "target": ratios.target,
+                "rows": [[r.k, r.ratio, r.gap] for r in ratios.rows],
             }
         else:
-            print(f"ratio a_k k^1.5 / gamma^k -> c = {rep.target:.12f}")
-            for row in rep.rows:
+            print(f"ratio a_k k^1.5 / gamma^k -> c = {ratios.target:.12f}")
+            for row in ratios.rows:
                 print(f"  k={row.k:3d}  ratio={row.ratio:.12f}  gap={row.gap:.3e}")
     if args.identities:
         rep = asym.identity_checks(d)
@@ -223,6 +224,9 @@ def _emit_asympt(args) -> int:
 def _emit_poly(args) -> int:
     if args.check_diffs < 0:
         raise ValueError(f"need --check-diffs >= 0, got {args.check_diffs}")
+    if args.check_diffs > args.n:
+        # the identity holds for l <= m <= n, so a larger L checks nothing
+        raise ValueError(f"need --check-diffs <= --n ({args.n}), got {args.check_diffs}")
     bp = pb.binomial_coeffs(args.n)
     if args.format == "csv":
         print("n,k,coefficient")

@@ -1,5 +1,6 @@
 """Fixed-point arithmetic, certified roots, and the growth constants."""
 
+import time
 from fractions import Fraction
 from math import factorial, perm
 
@@ -113,6 +114,12 @@ class TestSeriesEvaluation:
                 drop = asym._tail(d, n, r) - asym._tail(d, n + 1, r)
                 assert drop == perm(n + 1, d) * r ** (n + 1 - d)
 
+    @pytest.mark.parametrize("digits", [-1, -5])
+    @pytest.mark.parametrize("evaluate", [asym.eval_M, asym.eval_Mprime, asym.eval_Mdoubleprime])
+    def test_negative_digits_rejected(self, evaluate, digits):
+        with pytest.raises(ValueError):
+            evaluate(Fraction(1, 2), digits)
+
     def test_input_error_is_propagated(self):
         wobbly = asym.FixedReal(3 * 10**19, 20, Fraction(1, 10**10))
         out = asym.eval_M(wobbly, 30)
@@ -132,6 +139,27 @@ class TestRoots:
     def test_beta_digits(self):
         beta = asym.find_beta(60)
         assert beta.decimal(55) == BETA_DIGITS[: 3 + 55]
+
+    @pytest.mark.parametrize(
+        "digits", [range(1, 31), pytest.param(range(31, 71), marks=slow)], ids=["fast", "slow"]
+    )
+    def test_every_digit_count(self, digits):
+        # each root truncates to the published digits, certified on the
+        # first, narrowest bracket
+        roots = [(asym.find_tau, TAU_DIGITS, 70), (asym.find_beta, BETA_DIGITS, 70),
+                 (asym.find_alpha, ALPHA_DIGITS, 36)]
+        for find, want, top in roots:
+            for d in digits:
+                if d > top:
+                    break
+                root = find(d)
+                head = want.index(".") + 1 + d
+                assert root.decimal(d) == want[:head], (find.__name__, d)
+                assert root.error_bound == Fraction(1, 10 ** (d + 2)), (find.__name__, d)
+
+    def test_no_sign_change_in_the_bracket(self):
+        with pytest.raises(ArithmeticError, match="no sign change"):
+            asym._certified_root(1, Fraction(1, 20), Fraction(1, 10), 10)
 
     def test_roots_certified_by_sign_change(self):
         tau = asym.find_tau(40)
@@ -190,6 +218,16 @@ class TestConstants:
 
 
 class TestDiagnostics:
+    @pytest.mark.parametrize(
+        "report", [asym.ratio_check, lambda k: asym.gcd_ratio_check(k, 2)], ids=["all", "gcd-2"]
+    )
+    def test_ratios_beyond_float_range_refused_early(self, report):
+        # gamma^417 overflows a double; the count table is never filled
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="overflows"):
+            report(417)
+        assert time.perf_counter() - start < 5
+
     def test_ratio_table(self):
         rep = asym.ratio_check(22)
         by_k = {r.k: r for r in rep.rows}

@@ -453,6 +453,8 @@ class TestUsage:
             ["trees"],
             ["poly", "--n", "3", "--check-diffs", "-1"],
             ["trees", "--leaves", "3", "--chi", "(2 () ())"],
+            ["asympt", "--digits", "5", "--ratios", "417"],
+            ["poly", "--n", "3", "--check-diffs", "4"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):
