@@ -222,12 +222,12 @@ def _emit_asympt(args) -> int:
 
 
 def _emit_poly(args) -> int:
+    bp = pb.binomial_coeffs(args.n)  # rejects n < 1 before the flags that depend on n
     if args.check_diffs < 0:
         raise ValueError(f"need --check-diffs >= 0, got {args.check_diffs}")
     if args.check_diffs > args.n:
         # the identity holds for l <= m <= n, so a larger L checks nothing
         raise ValueError(f"need --check-diffs <= --n ({args.n}), got {args.check_diffs}")
-    bp = pb.binomial_coeffs(args.n)
     if args.format == "csv":
         print("n,k,coefficient")
         for k, c in enumerate(bp.coeffs, start=1):

@@ -33,14 +33,17 @@ modulus factor), and consistent with the residue strata mod each prime:
 the terms p/n over p-divisible moduli must split into p equal groups,
 and the classes of any divisibility-maximal modulus form a vanishing
 root-of-unity sum, so their multiplicity is a combination of its prime
-factors.  It runs in integer arithmetic: the budget is a reduced
-fraction of two ints, the stratum state one int pair per prime, and the
-candidate moduli of a node a bitset over the admissible values (whose
-primes are at most k), cut down by the prime-sharing rule and by the
-stratum bounds of the primes that a candidate does not have.  Phase two
-solves, for each multiset with lcm L, an exact cover with
-multiplicities: the points of Z/L are the items, the classes a mod n
-the options, and each modulus is used as often as the multiset holds it.
+factors.  A requested gcd m is a rule of the same search: every
+modulus is a multiple of m (for m = 1, has two distinct primes), and
+each complete multiset has gcd exactly m.  One recursion runs from the
+empty prefix, in integer arithmetic: the budget is a reduced fraction
+of two ints, the stratum state one int pair per prime, and the
+candidate moduli of a node a bitset over the values that pass the gcd
+rule (whose primes are at most k), cut down by the prime-sharing rule
+and by the stratum bounds of the primes that a candidate does not have.
+Phase two solves, for each multiset with lcm L, an exact cover with
+multiplicities: the points of Z/L are the items, the classes a mod n the
+options, and each modulus is used as often as the multiset holds it.
 It branches on the uncovered point with the fewest classes that can
 still cover it, so dead points end a branch and forced points cost no
 branching, and every solution is visited along exactly one path.
@@ -176,7 +179,14 @@ class EcsSearchConfig:
     """Bounds for the exact-cover search.
 
     max_modulus defaults to 2^(k-1), the extremal modulus of the binary
-    split chain (the classical bound for disjoint covering systems).
+    split chain.  It bounds the lcm L of every exact cover of size k by
+    Simpson's inequality (R. J. Simpson, Regular coverings of the integers
+    by arithmetic progressions, Acta Arith. 45 (1985); cited from memory):
+    an exact cover whose lcm is the product of the p_i^a_i has at least
+    1 + sum a_i (p_i - 1) classes.  Since p^a <= 2^(a (p - 1)), that gives
+    L <= 2^(k-1).  The tests check the bound only empirically: under it
+    the search finds A(k) covers for k <= 12 (no cover of gcd 1 has fewer
+    than 13 classes) and P(13) = 30, where P(k) counts the covers of gcd 1.
     gcd restricts output to systems with that exact gcd; gcd=1 also
     restricts branching to moduli with at least two distinct prime
     factors, since any prime-power modulus forces its prime into every
@@ -200,10 +210,11 @@ class EcsSearchConfig:
 
 
 def _modulus_multisets(
-    k: int, max_mod: int, admissible, tick=lambda: None
+    k: int, max_mod: int, want_gcd: int | None, tick=lambda: None
 ) -> Iterator[tuple[int, ...]]:
     """Nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
-    that could be the moduli of an exact cover.
+    and gcd want_gcd (any gcd if None), each at most max_mod, that could be
+    the moduli of an exact cover.
 
     With moduli nondecreasing, a modulus chosen when c remain on budget r
     satisfies 1/n <= r <= c/n, so ceil(1/r) <= n <= floor(c/r) bounds
@@ -217,10 +228,6 @@ def _modulus_multisets(
     """
     if k == 1:
         yield (1,)
-        return
-    if k == 2:
-        if max_mod >= 2:
-            yield (2, 2)
         return
     # Every prime factor p of a modulus is at most k.  A class whose modulus
     # is prime to p meets every residue mod p with the same density, so the
@@ -239,7 +246,14 @@ def _modulus_multisets(
                 while s * p <= max_mod:
                     s *= p
                     factors[s] = primes
-    values = sorted(n for n, primes in factors.items() if n >= 2 and admissible(n, primes))
+    # the gcd divides every modulus, and for gcd 1 a prime-power modulus
+    # would put its prime into the gcd (see EcsSearchConfig)
+    values = sorted(
+        n
+        for n, primes in factors.items()
+        if n >= 2
+        and (want_gcd is None or (len(primes) >= 2 if want_gcd == 1 else n % want_gcd == 0))
+    )
     index = {n: i for i, n in enumerate(values)}
     # divides[p]: bitset of the indices of the values divisible by p, read
     # from a string of binary digits (setting its bits one by one in an int
@@ -302,7 +316,6 @@ def _modulus_multisets(
     def rec(num: int, den: int, remaining: int, lo_idx: int, allowed: int):
         # budget num/den > 0 is kept in lowest terms; allowed is the bitset
         # of the values sharing a prime with every chosen modulus
-        tick()
         if remaining == 2:
             # the final two moduli both equal the overall largest value v:
             # a strictly larger last modulus would be divisibility-maximal
@@ -311,9 +324,16 @@ def _modulus_multisets(
             if (2 * den) % num == 0:
                 v = 2 * den // num
                 i = index.get(v)
-                if v >= acc[-1] and i is not None and allowed >> i & 1:
+                # (acc is empty only at the root of a size-2 search)
+                if (not acc or v >= acc[-1]) and i is not None and allowed >> i & 1:
                     out = acc + [v, v]
-                    if _maximal_multiplicities_ok(out, factors) and strata_partition_ok(out):
+                    # the system gcd is the gcd of its moduli; that test is
+                    # the cheapest of the three, so it runs first
+                    if (
+                        (want_gcd is None or gcd(*out) == want_gcd)
+                        and _maximal_multiplicities_ok(out, factors)
+                        and strata_partition_ok(out)
+                    ):
                         yield tuple(out)
             return
         rem1 = remaining - 1
@@ -372,6 +392,7 @@ def _modulus_multisets(
                 rden = den * n
                 g = gcd(rnum, rden)
                 acc.append(n)
+                tick()
                 yield from rec(rnum // g, rden // g, rem1, idx, allowed & sharing(n))
                 acc.pop()
                 for p, old in changed:
@@ -380,17 +401,9 @@ def _modulus_multisets(
                     else:
                         slack[p] = old
 
-    for idx, n in enumerate(values):
-        if n > k:  # smallest modulus is at most k (densities average 1/k)
-            break
-        if (n - 1) * max_mod < n * (k - 1):  # the rest needs moduli > max_mod
-            continue
-        # a first modulus meets every stratum bound: (p - 1)/n <= (n - 1)/n
-        slack.clear()
-        slack.update((p, (p - 1, n)) for p in factors[n])
-        acc.append(n)
-        yield from rec(n - 1, n, k - 1, idx, sharing(n))
-        acc.pop()
+    # from the empty prefix, the bounds above give the first modulus its
+    # rules: n <= k, and (n - 1) * max_mod >= n * (k - 1)
+    yield from rec(1, 1, k, 0, (1 << len(values)) - 1)
 
 
 def _splits_into_equal_parts(items: list[int], parts: int, target: int) -> bool:
@@ -529,38 +542,6 @@ def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
     yield from rec((1 << period) - 1)
 
 
-def _phase_one_bounds(k: int, cfg: EcsSearchConfig):
-    """The modulus bound and the admissibility test of phase one, a test of
-    a modulus and its distinct primes."""
-    want_gcd = cfg.gcd
-    max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
-
-    def admissible(n: int, primes) -> bool:
-        # primes: the distinct primes of n.  A prime-power modulus puts its
-        # prime into every other modulus (disjoint classes need non-coprime
-        # moduli), hence into the gcd
-        if want_gcd == 1 and k >= 2 and len(primes) <= 1:
-            return False
-        if want_gcd is not None and want_gcd >= 2 and n % want_gcd != 0:
-            return False
-        return True
-
-    return max_mod, admissible
-
-
-def _ecs_multisets(k: int, cfg: EcsSearchConfig, tick=lambda: None) -> Iterator[tuple[int, ...]]:
-    """Phase one: the candidate modulus multisets of size k within the
-    config's modulus bound whose gcd is the requested one (if any)."""
-    for moduli in _modulus_multisets(k, *_phase_one_bounds(k, cfg), tick):
-        if cfg.gcd is not None:
-            g = 0
-            for n in moduli:
-                g = gcd(g, n)
-            if g != cfg.gcd:  # the system gcd is the gcd of its moduli
-                continue
-        yield moduli
-
-
 def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
     """Both phases, multiset by multiset: every exact cover of size k within
     the config's bounds, as flat tuples.  Each phase counts its search
@@ -589,8 +570,9 @@ def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
 
         return tick
 
+    max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
     tick = ticker(1)
-    for moduli in _ecs_multisets(k, cfg, ticker(0)):
+    for moduli in _modulus_multisets(k, max_mod, cfg.gcd, ticker(0)):
         multisets += 1
         # one phase-2 node can cost more than a whole budget: its masks are
         # ints of lcm bits, and the lcm of a large multiset is huge

@@ -110,12 +110,6 @@ def add(s: IntSeries, r: IntSeries, n: int) -> IntSeries:
     return IntSeries([s.coeffs[k] + r.coeffs[k] for k in range(n + 1)])
 
 
-def sub(s: IntSeries, r: IntSeries, n: int) -> IntSeries:
-    _require_order(s, n)
-    _require_order(r, n)
-    return IntSeries([s.coeffs[k] - r.coeffs[k] for k in range(n + 1)])
-
-
 def mul(s: IntSeries, r: IntSeries, n: int) -> IntSeries:
     """Product truncated at order n.
 

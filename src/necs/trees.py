@@ -24,9 +24,13 @@ from typing import Iterator
 from .congruence import CoveringSystem, ResidueClass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tree:
-    """Ordered tree; children is empty (a leaf) or has length >= 2."""
+    """Ordered tree; children is empty (a leaf) or has length >= 2.
+
+    Equality and hashing go through format_tree, which is iterative, so
+    trees of any depth compare and hash.
+    """
 
     children: tuple["Tree", ...] = ()
 
@@ -40,6 +44,16 @@ class Tree:
 
     def is_leaf(self) -> bool:
         return not self.children
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return format_tree(self) == format_tree(other)
+
+    def __hash__(self) -> int:
+        return hash(format_tree(self))
 
     def __repr__(self) -> str:
         return f"Tree{format_tree(self)!r}"

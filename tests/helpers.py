@@ -437,11 +437,52 @@ def enumerate_trees_recursive(k):
             yield from rec(0, ())
 
 
-def modulus_multisets_fractions(k, max_mod, admissible):
+def modulus_multisets_fractions(k, max_mod, want_gcd):
     """Reference phase one of the exact-cover search, in Fraction arithmetic:
-    nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
-    that could be the moduli of an exact cover, in the order and with the
+    nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1,
+    each at most max_mod and with gcd want_gcd (any gcd if None), that
+    could be the moduli of an exact cover, in the order and with the
     pruning rules of the integer search enumeration._modulus_multisets.
+
+    The gcd divides every modulus; for gcd 1 every modulus has two distinct
+    primes, since a prime-power modulus puts its prime into every other
+    modulus (disjoint classes need non-coprime moduli), hence into the gcd.
+    """
+
+    def admissible(n):
+        if want_gcd is None:
+            return True
+        if want_gcd == 1:
+            return len(se.prime_factors(n)) >= 2
+        return n % want_gcd == 0
+
+    for moduli in _modulus_multisets_fractions_any_gcd(k, max_mod, admissible):
+        g = 0
+        for n in moduli:
+            g = gcd(g, n)
+        if want_gcd is None or g == want_gcd:
+            yield moduli
+
+
+def _vanishing_sum_multiplicities_ok(moduli):
+    """For each divisibility-maximal modulus value v, its multiplicity t is
+    a nonnegative combination of the primes of v: the classes of modulus v
+    give a vanishing sum of t v-th roots of unity at a primitive v-th root."""
+    counts = {n: moduli.count(n) for n in set(moduli)}
+    for v, t in counts.items():
+        if v == 1 or any(u != v and u % v == 0 for u in counts):
+            continue
+        sums = {0}
+        for p in se.prime_factors(v):
+            sums = {s + p * i for s in sums for i in range((t - s) // p + 1)}
+        if t not in sums:
+            return False
+    return True
+
+
+def _modulus_multisets_fractions_any_gcd(k, max_mod, admissible):
+    """The reference search before the exact-gcd test at its leaves;
+    admissible(n) says whether modulus n may be chosen at all.
 
     With moduli nondecreasing, a modulus chosen when c remain on budget r
     satisfies 1/n <= r <= c/n, so ceil(1/r) <= n <= floor(c/r) bounds
@@ -459,7 +500,7 @@ def modulus_multisets_fractions(k, max_mod, admissible):
         if max_mod >= 2:
             yield (2, 2)
         return
-    values = [n for n in range(2, max_mod + 1) if admissible(n, se.prime_factors(n))]
+    values = [n for n in range(2, max_mod + 1) if admissible(n)]
     admissible_set = set(values)
     factors = {n: se.prime_factors(n) for n in values}
 
@@ -552,7 +593,7 @@ def modulus_multisets_fractions(k, max_mod, admissible):
                     and compatible(v, distinct)
                 ):
                     out = acc + [v, v]
-                    if en._maximal_multiplicities_ok(out, factors) and strata_partition_ok(out):
+                    if _vanishing_sum_multiplicities_ok(out) and strata_partition_ok(out):
                         chosen_density = Fraction(den - num, den)
                         undo1 = push_strata(v, chosen_density)
                         if undo1 is not None:

@@ -455,6 +455,7 @@ class TestUsage:
             ["trees", "--leaves", "3", "--chi", "(2 () ())"],
             ["asympt", "--digits", "5", "--ratios", "417"],
             ["poly", "--n", "3", "--check-diffs", "4"],
+            ["poly", "--n", "-2"],
         ],
     )
     def test_bad_values_exit_2_with_one_line(self, capsys, argv):

@@ -286,11 +286,11 @@ class TestEcsSearch:
             assert not cg.is_natural(s)
 
 
-def _phase_two_matches_oracle(k, config):
+def _phase_two_matches_oracle(k, m=None):
     """Compare phase two with the smallest-uncovered reference search,
     multiset by multiset, on the exact set of solutions."""
     total = 0
-    for moduli in en._ecs_multisets(k, config):
+    for moduli in en._modulus_multisets(k, 1 << (k - 1), m):
         got = list(en._assign_offsets(moduli, lambda: None))
         assert len(got) == len(set(got)), moduli
         assert set(got) == set(assign_offsets_smallest_uncovered(moduli)), moduli
@@ -301,23 +301,21 @@ def _phase_two_matches_oracle(k, config):
 class TestPhaseTwoOracle:
     def test_every_size_up_to_7(self):
         for k in range(1, 8):
-            assert _phase_two_matches_oracle(k, en.EcsSearchConfig()) == A_COUNTS[k]
+            assert _phase_two_matches_oracle(k) == A_COUNTS[k]
 
     @slow
     def test_sizes_8_9_and_13_gcd_one(self):
-        assert _phase_two_matches_oracle(8, en.EcsSearchConfig()) == A_COUNTS[8]
-        assert _phase_two_matches_oracle(9, en.EcsSearchConfig()) == A_COUNTS[9]
-        assert _phase_two_matches_oracle(13, en.EcsSearchConfig(gcd=1)) == 30
+        assert _phase_two_matches_oracle(8) == A_COUNTS[8]
+        assert _phase_two_matches_oracle(9) == A_COUNTS[9]
+        assert _phase_two_matches_oracle(13, 1) == 30
 
 
 def _phase_one_matches_oracle(k, m=None, max_modulus=None):
     """Compare the integer phase one with the Fraction reference search on
-    the whole multiset stream, before the gcd filter: same tuples, same
-    order."""
-    cfg = en.EcsSearchConfig(gcd=m, max_modulus=max_modulus)
-    max_mod, admissible = en._phase_one_bounds(k, cfg)
-    got = list(en._modulus_multisets(k, max_mod, admissible))
-    assert got == list(modulus_multisets_fractions(k, max_mod, admissible)), (k, m)
+    the whole multiset stream of gcd m: same tuples, same order."""
+    max_mod = max_modulus if max_modulus is not None else 1 << (k - 1)
+    got = list(en._modulus_multisets(k, max_mod, m))
+    assert got == list(modulus_multisets_fractions(k, max_mod, m)), (k, m, max_mod)
     return len(got)
 
 
@@ -340,11 +338,17 @@ class TestPhaseOneOracle:
             for bound in (1, 2, 6, 12, 24, 60):
                 _phase_one_matches_oracle(k, max_modulus=bound)
 
+    def test_every_gcd_and_modulus_bound_up_to_size_8(self):
+        for k in range(1, 9):
+            for m in range(1, k + 1):
+                for bound in (1, 2, 6, 12, 24, 60):
+                    _phase_one_matches_oracle(k, m, bound)
+
     @slow
     def test_sizes_10_11_and_13_gcd_one(self):
         assert _phase_one_matches_oracle(10) == 2152
         assert _phase_one_matches_oracle(11) == 8950
-        assert _phase_one_matches_oracle(13, 1) == 2411  # 116 of them have gcd 1
+        assert _phase_one_matches_oracle(13, 1) == 116
 
 
 class TestHelpers:

@@ -75,6 +75,17 @@ class TestBasics:
         want = [(2 ** (j - 1) - 1, 2**j) for j in range(1, depth + 1)] + [(2**depth - 1, 2**depth)]
         assert tr.chi(t) == sys_of(want)
 
+    def test_deep_chains_compare_and_hash(self):
+        depth = 5000
+        text = "(2 () " * depth + "()" + ")" * depth
+        a, b = tr.parse_tree(text), tr.parse_tree(text)
+        mirrored = tr.parse_tree("(2 " * depth + "()" + " ())" * depth)
+        assert a is not b
+        assert a == b and not a != b
+        assert a != mirrored and not a == mirrored
+        assert hash(a) == hash(b)
+        assert b in {a} and mirrored not in {a}
+
 
 class TestChi:
     def test_trivial(self):
