@@ -254,17 +254,32 @@ def _round_up(r: Fraction, places: int = 4) -> Fraction:
 
 @lru_cache(maxsize=1024)
 def _pick_terms(d: int, r_up: Fraction, target: Fraction) -> int:
-    """Terms to sum so that the tail bound of M^(d) is at most target.
+    """Terms to sum so that the tail bound of M^(d) is at most target: the
+    least n = 4 + 8j with _tail(d, n, r_up) <= target.
 
     A pure function of its arguments, so it is memoized: root finding
-    evaluates many points of one rounded radius at one precision, and
-    each miss scans the Fraction tail bounds afresh."""
+    evaluates many points of one rounded radius at one precision.  The
+    tail never grows with n (it loses a nonnegative term per step), so a
+    miss gallops over j = 0, 1, 3, 7, ... until the tail is small enough
+    and bisects the last gap: O(log j) exact Fraction tails, not j + 1."""
     if r_up == 0:
         return max(2, d)
-    n = 4
-    while _tail(d, n, r_up) > target:
-        n += 8
-    return n
+
+    def small(j: int) -> bool:
+        return _tail(d, 4 + 8 * j, r_up) <= target
+
+    # the least good j is in (lo, hi]: small(lo) is false (lo = -1 stands
+    # for "none tried") and small(hi) is true
+    lo, hi, step = -1, 0, 1
+    while not small(hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if small(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 4 + 8 * hi
 
 
 def _eval_derivative(d: int, x, digits: int) -> FixedReal:

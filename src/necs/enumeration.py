@@ -33,7 +33,9 @@ modulus factor), and consistent with the residue strata mod each prime:
 the terms p/n over p-divisible moduli must split into p equal groups,
 and the classes of any divisibility-maximal modulus form a vanishing
 root-of-unity sum, so their multiplicity is a combination of its prime
-factors.  A requested gcd m is a rule of the same search: every
+factors.  Simpson's inequality bounds the lcm L of the prefix: its
+weight, the sum of a (p - 1) over the prime powers p^a of L, is at most
+k - 1.  A requested gcd m is a rule of the same search: every
 modulus is a multiple of m (for m = 1, has two distinct primes), and
 each complete multiset has gcd exactly m.  One recursion runs from the
 empty prefix, in integer arithmetic: the budget is a reduced fraction
@@ -48,6 +50,14 @@ It branches on the uncovered point with the fewest classes that can
 still cover it, so dead points end a branch and forced points cost no
 branching, and every solution is visited along exactly one path.
 
+Counting needs less of phase two, by the rooting lemma (proved in
+count_ecs): translation by 1 permutes the covers of one multiset and
+sends a mod n to a + 1 mod n, so if n occurs c_n times, the number S of
+covers and the number X_0 of those that contain 0 mod n satisfy
+c_n S = n X_0.  count_ecs places 0 mod n first, for the n with the
+largest n / c_n, and adds n X_0 / c_n; the listings keep the full phase
+two.
+
 Internally systems travel as flat sorted tuples of (modulus, offset)
 pairs; CoveringSystem objects are built only at the public boundary.
 """
@@ -57,6 +67,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product, starmap
 from math import gcd, lcm
@@ -184,9 +195,15 @@ class EcsSearchConfig:
     by arithmetic progressions, Acta Arith. 45 (1985); cited from memory):
     an exact cover whose lcm is the product of the p_i^a_i has at least
     1 + sum a_i (p_i - 1) classes.  Since p^a <= 2^(a (p - 1)), that gives
-    L <= 2^(k-1).  The tests check the bound only empirically: under it
-    the search finds A(k) covers for k <= 12 (no cover of gcd 1 has fewer
-    than 13 classes) and P(13) = 30, where P(k) counts the covers of gcd 1.
+    L <= 2^(k-1).  Phase one also applies the inequality itself, as the
+    weight cut: it rejects a modulus n when the weight sum a_i (p_i - 1)
+    of lcm(prefix, n) exceeds k - 1, the lcm of a prefix dividing that of
+    every completion.  The tests check the inequality only empirically:
+    under it the search finds A(k) covers for k <= 12 (no cover of gcd 1
+    has fewer than 13 classes) and P(13) = 30, where P(k) counts the
+    covers of gcd 1, and the full phase two finds no cover in any
+    multiset that the cut removes (k <= 9, and under NECS_SLOW k = 10
+    and 11 and gcd 1 at k = 13 and 14).
     gcd restricts output to systems with that exact gcd; gcd=1 also
     restricts branching to moduli with at least two distinct prime
     factors, since any prime-power modulus forces its prime into every
@@ -195,7 +212,8 @@ class EcsSearchConfig:
     negative or NaN raise ValueError; a budget of 0 aborts at the first check.
     budget_seconds aborts the search distinctly via SearchBudgetExceeded;
     both phases check the deadline every 1024 search nodes, and phase two
-    also before each modulus multiset.
+    also before each modulus multiset.  count_ecs keeps those checks on its
+    rooted phase two.
     """
 
     max_modulus: int | None = None
@@ -213,8 +231,9 @@ def _modulus_multisets(
     k: int, max_mod: int, want_gcd: int | None, tick=lambda: None
 ) -> Iterator[tuple[int, ...]]:
     """Nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
-    and gcd want_gcd (any gcd if None), each at most max_mod, that could be
-    the moduli of an exact cover.
+    and gcd want_gcd (any gcd if None), each at most max_mod and with an
+    lcm of weight at most k - 1 (Simpson's inequality), that could be the
+    moduli of an exact cover.
 
     With moduli nondecreasing, a modulus chosen when c remain on budget r
     satisfies 1/n <= r <= c/n, so ceil(1/r) <= n <= floor(c/r) bounds
@@ -237,21 +256,27 @@ def _modulus_multisets(
     # reject every other modulus, so dropping them leaves the search as it
     # is.)
     # factors[s]: the distinct primes of each k-smooth s <= max_mod, in
-    # increasing order, recorded as the smooth numbers are generated
+    # increasing order, and weight[s]: the sum of a (p - 1) over its prime
+    # powers p^a, both recorded as the smooth numbers are generated
     factors: dict[int, tuple[int, ...]] = {1: ()}
+    weight = {1: 0}
     for p in range(2, k + 1):
         if prime_factors(p) == [p]:
             for s, primes in list(factors.items()):
                 primes += (p,)
                 while s * p <= max_mod:
+                    weight[s * p] = weight[s] + p - 1
                     s *= p
                     factors[s] = primes
     # the gcd divides every modulus, and for gcd 1 a prime-power modulus
-    # would put its prime into the gcd (see EcsSearchConfig)
+    # would put its prime into the gcd (see EcsSearchConfig); Simpson's
+    # inequality bounds the weight of the lcm, hence of every modulus, by
+    # k - 1
     values = sorted(
         n
         for n, primes in factors.items()
         if n >= 2
+        and weight[n] < k
         and (want_gcd is None or (len(primes) >= 2 if want_gcd == 1 else n % want_gcd == 0))
     )
     index = {n: i for i, n in enumerate(values)}
@@ -313,9 +338,12 @@ def _modulus_multisets(
 
     acc: list[int] = []
 
-    def rec(num: int, den: int, remaining: int, lo_idx: int, allowed: int):
+    def rec(num: int, den: int, remaining: int, lo_idx: int, allowed: int, period: int, w: int):
         # budget num/den > 0 is kept in lowest terms; allowed is the bitset
-        # of the values sharing a prime with every chosen modulus
+        # of the values sharing a prime with every chosen modulus; period is
+        # the lcm of the chosen moduli and w its weight.  The weight of
+        # lcm(period, n) is w + weight[n / gcd(period, n)], since that
+        # quotient holds exactly the prime powers that n adds to the lcm.
         if remaining == 2:
             # the final two moduli both equal the overall largest value v:
             # a strictly larger last modulus would be divisibility-maximal
@@ -325,7 +353,12 @@ def _modulus_multisets(
                 v = 2 * den // num
                 i = index.get(v)
                 # (acc is empty only at the root of a size-2 search)
-                if (not acc or v >= acc[-1]) and i is not None and allowed >> i & 1:
+                if (
+                    (not acc or v >= acc[-1])
+                    and i is not None
+                    and allowed >> i & 1
+                    and w + weight[v // gcd(period, v)] < k
+                ):
                     out = acc + [v, v]
                     # the system gcd is the gcd of its moduli; that test is
                     # the cheapest of the three, so it runs first
@@ -367,6 +400,9 @@ def _modulus_multisets(
             candidates ^= low
             idx = start + low.bit_length() - 1
             n = values[idx]
+            fresh = n // gcd(period, n)
+            if w + weight[fresh] >= k:
+                continue  # Simpson's inequality (see EcsSearchConfig)
             # a new prime p of n starts at slack (p - 1)/n, within the new
             # budget num/den - 1/n iff p <= n * num/den; a known prime's
             # slack drops by 1/n, as the budget does, so it stays within
@@ -393,7 +429,10 @@ def _modulus_multisets(
                 g = gcd(rnum, rden)
                 acc.append(n)
                 tick()
-                yield from rec(rnum // g, rden // g, rem1, idx, allowed & sharing(n))
+                yield from rec(
+                    rnum // g, rden // g, rem1, idx, allowed & sharing(n),
+                    period * fresh, w + weight[fresh],
+                )
                 acc.pop()
                 for p, old in changed:
                     if old is None:
@@ -403,7 +442,7 @@ def _modulus_multisets(
 
     # from the empty prefix, the bounds above give the first modulus its
     # rules: n <= k, and (n - 1) * max_mod >= n * (k - 1)
-    yield from rec(1, 1, k, 0, (1 << len(values)) - 1)
+    yield from rec(1, 1, k, 0, (1 << len(values)) - 1, 1, 0)
 
 
 def _splits_into_equal_parts(items: list[int], parts: int, target: int) -> bool:
@@ -473,8 +512,9 @@ def _maximal_multiplicities_ok(moduli: list[int], factors) -> bool:
     return True
 
 
-def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
-    """All exact covers with the given modulus multiset, each exactly once.
+def _assign_offsets(moduli: tuple[int, ...], tick, root: int | None = None) -> Iterator[Flat]:
+    """All exact covers with the given modulus multiset, each exactly once;
+    with a root modulus n, only those that contain the class 0 mod n.
 
     An exact cover with multiplicities on Z/L, L the lcm of the moduli:
     the items are the points of Z/L, the options are the classes a mod n,
@@ -486,7 +526,8 @@ def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
     Each point lies in exactly one class of an exact cover, so distinct
     branches lead to distinct solutions and every solution is reached
     once.  The uncovered points are the bits of a Python int; since the
-    densities sum to one, they run out exactly when the moduli do.
+    densities sum to one, they run out exactly when the moduli do.  A root
+    is placed before the search starts, as one use of its modulus.
     """
     counts: dict[int, int] = {}
     for n in moduli:
@@ -539,30 +580,65 @@ def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[Flat]:
             chosen.pop()
             counts[n] += 1
 
-    yield from rec((1 << period) - 1)
+    free = (1 << period) - 1
+    if root is not None:
+        counts[root] -= 1
+        chosen.append((root, 0))
+        free &= ~comb[root]
+    yield from rec(free)
 
 
-def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
-    """Both phases, multiset by multiset: every exact cover of size k within
-    the config's bounds, as flat tuples.  Each phase counts its search
-    nodes and checks the deadline every 1024 of them; phase two also
-    checks it before it starts on each multiset."""
-    _check_size_gcd(k, cfg.gcd)
-    deadline = None
-    if cfg.budget_seconds is not None:
-        deadline = time.monotonic() + cfg.budget_seconds
-    nodes = [0, 0]  # search nodes of phase one and phase two
-    multisets = found = 0
+def _rooted_count(moduli: tuple[int, ...], tick) -> int:
+    """Number of exact covers with the given modulus multiset, by the
+    rooting lemma (see count_ecs): n X_0 / c_n for the modulus n with the
+    largest n / c_n (the larger n on a tie), where X_0 is the number of
+    covers that contain 0 mod n and c_n the multiplicity of n.  Raises
+    ArithmeticError if c_n does not divide n X_0, which the lemma rules
+    out."""
+    counts: dict[int, int] = {}
+    for n in moduli:
+        counts[n] = counts.get(n, 0) + 1
+    root = max(counts, key=lambda n: (Fraction(n, counts[n]), n))
+    rooted = sum(1 for _ in _assign_offsets(moduli, tick, root))
+    total, rest = divmod(root * rooted, counts[root])
+    if rest:
+        raise ArithmeticError(
+            f"rooting lemma fails on {moduli}: {rooted} covers contain "
+            f"0 mod {root}, and {root} * {rooted} is not a multiple of {counts[root]}"
+        )
+    return total
 
-    def check_deadline():
-        if deadline is not None and time.monotonic() > deadline:
+
+class _Search:
+    """The deadline and the counters of one exact-cover search of size k.
+
+    Each phase counts its search nodes and checks the deadline every 1024
+    of them; multisets_checked() also checks it before it hands over
+    each multiset.  found is the number of covers the caller has finished
+    with, reported in the abort message."""
+
+    def __init__(self, k: int, cfg: EcsSearchConfig):
+        _check_size_gcd(k, cfg.gcd)
+        self.k = k
+        self.cfg = cfg
+        self.deadline = None
+        if cfg.budget_seconds is not None:
+            self.deadline = time.monotonic() + cfg.budget_seconds
+        self.nodes = [0, 0]  # search nodes of phase one and phase two
+        self.multisets = self.found = 0
+
+    def check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchBudgetExceeded(
-                f"search for k={k} exceeded {cfg.budget_seconds}s after "
-                f"{nodes[1]} nodes and {found} solutions "
-                f"(phase one: {nodes[0]} nodes and {multisets} multisets)"
+                f"search for k={self.k} exceeded {self.cfg.budget_seconds}s after "
+                f"{self.nodes[1]} nodes and {self.found} solutions "
+                f"(phase one: {self.nodes[0]} nodes and {self.multisets} multisets)"
             )
 
-    def ticker(phase: int):
+    def ticker(self, phase: int):
+        nodes = self.nodes
+        check_deadline = self.check_deadline
+
         def tick():
             nodes[phase] += 1
             if nodes[phase] % 1024 == 0:
@@ -570,15 +646,27 @@ def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
 
         return tick
 
-    max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
-    tick = ticker(1)
-    for moduli in _modulus_multisets(k, max_mod, cfg.gcd, ticker(0)):
-        multisets += 1
-        # one phase-2 node can cost more than a whole budget: its masks are
-        # ints of lcm bits, and the lcm of a large multiset is huge
-        check_deadline()
+    def multisets_checked(self) -> Iterator[tuple[int, ...]]:
+        """Phase one within the config's bounds, with the deadline checked
+        before each multiset."""
+        k, cfg = self.k, self.cfg
+        max_mod = cfg.max_modulus if cfg.max_modulus is not None else 1 << (k - 1)
+        for moduli in _modulus_multisets(k, max_mod, cfg.gcd, self.ticker(0)):
+            self.multisets += 1
+            # one phase-2 node can cost more than a whole budget: its masks
+            # are ints of lcm bits, and the lcm of a large multiset is huge
+            self.check_deadline()
+            yield moduli
+
+
+def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
+    """Both phases, multiset by multiset: every exact cover of size k within
+    the config's bounds, as flat tuples."""
+    search = _Search(k, cfg)
+    tick = search.ticker(1)
+    for moduli in search.multisets_checked():
         for flat in _assign_offsets(moduli, tick):
-            found += 1
+            search.found += 1
             yield flat
 
 
@@ -607,5 +695,27 @@ def enumerate_ecs(
 
 def count_ecs(k: int, config: EcsSearchConfig | None = None) -> int:
     """Number of exact covering systems of size k (honors config bounds),
-    counted on the flat stream without building systems."""
-    return sum(1 for _ in _ecs_stream(k, config or EcsSearchConfig()))
+    counted multiset by multiset by the rooting lemma.
+
+    Rooting lemma.  Fix a modulus multiset, let C be its set of exact
+    covers, and let n occur c_n times in it.  Translation by 1 sends the
+    class a mod n to a + 1 mod n; it maps exact covers to exact covers
+    with the same moduli, and is a bijection of C (translation by -1
+    inverts it).  It sends the covers that contain a mod n onto those that
+    contain a + 1 mod n, so X_a, the number of covers that contain a mod n,
+    is the same X_0 for every a.  The classes of modulus n in one cover
+    are disjoint, hence distinct, so counting the pairs (cover, class of
+    modulus n) gives c_n |C| = n X_0.  Phase two therefore places 0 mod n
+    first and counts X_0 covers, for the n with the largest n / c_n, so
+    that X_0 = c_n |C| / n is smallest, and |C| = n X_0 / c_n.
+
+    May raise SearchBudgetExceeded like enumerate_ecs; there the solutions
+    in its message are the covers counted from the multisets finished by
+    then.  Raises ArithmeticError if a rooted count is not divisible as
+    the lemma says.
+    """
+    search = _Search(k, config or EcsSearchConfig())
+    tick = search.ticker(1)
+    for moduli in search.multisets_checked():
+        search.found += _rooted_count(moduli, tick)
+    return search.found

@@ -464,6 +464,23 @@ def modulus_multisets_fractions(k, max_mod, want_gcd):
             yield moduli
 
 
+def lcm_weight(moduli):
+    """Simpson's weight of the lcm of the moduli: the sum of a (p - 1) over
+    the prime powers p^a that exactly divide it, found by trial division.
+    An exact cover of size k has an lcm of weight at most k - 1."""
+    rest = lcm(*moduli)
+    total = 0
+    p = 2
+    while p * p <= rest:
+        while rest % p == 0:
+            rest //= p
+            total += p - 1
+        p += 1
+    if rest > 1:
+        total += rest - 1
+    return total
+
+
 def _vanishing_sum_multiplicities_ok(moduli):
     """For each divisibility-maximal modulus value v, its multiplicity t is
     a nonnegative combination of the primes of v: the classes of modulus v
@@ -682,6 +699,17 @@ def _splits_into_equal_parts_fractions(items, parts, target):
         return False
 
     return place(0)
+
+
+def pick_terms_linear(d, r_up, target):
+    """Reference for asymptotics._pick_terms: scan n = 4, 12, 20, ... for
+    the first tail bound of M^(d) at most target."""
+    if r_up == 0:
+        return max(2, d)
+    n = 4
+    while asym._tail(d, n, r_up) > target:
+        n += 8
+    return n
 
 
 def identity_checks_exact(digits):

@@ -2,15 +2,12 @@
 
 One test per release criterion, each printing a PASS line on success
 (run with `pytest tests/test_acceptance.py -v -s` to see them).  The
-slow-suite extensions are gated behind NECS_SLOW=1; the full size-13
-exact-cover census additionally behind NECS_FULL_ECS=1.
+slow-suite extensions, the full size-13 exact-cover census among them,
+are gated behind NECS_SLOW=1.
 """
 
-import os
 from fractions import Fraction
 from importlib import resources
-
-import pytest
 
 from necs import asymptotics as asym
 from necs import congruence as cg
@@ -27,11 +24,6 @@ from helpers import (
     TABLE2,
     shift_class_counts_stream,
     slow,
-)
-
-full_ecs = pytest.mark.skipif(
-    os.environ.get("NECS_FULL_ECS") != "1",
-    reason="full size-13 census; set NECS_FULL_ECS=1 (and expect a long run)",
 )
 
 
@@ -225,7 +217,6 @@ def test_14_ecs_gcd1_size13():
 
 
 @slow
-@full_ecs
 def test_14_full_ecs_census_size13():
     natural_total = ct.count_size_gcd(13).row_sum(13)
     assert natural_total == 7266979

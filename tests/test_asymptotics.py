@@ -7,8 +7,9 @@ from math import factorial, perm
 import pytest
 
 from necs import asymptotics as asym
+from necs import cli
 
-from helpers import identity_checks_exact, slow
+from helpers import identity_checks_exact, pick_terms_linear, slow
 
 # decimal expansions as printed to their full stated precision
 TAU_DIGITS = "0.32299391330283353998122564696308569320205174841752276244233373344634953499"
@@ -113,6 +114,22 @@ class TestSeriesEvaluation:
             for n in range(d, d + 12):
                 drop = asym._tail(d, n, r) - asym._tail(d, n + 1, r)
                 assert drop == perm(n + 1, d) * r ** (n + 1 - d)
+
+    def test_pick_terms_matches_linear_scan(self, monkeypatch, capsys):
+        # every (d, radius, target) that one asympt command asks for
+        keys = set()
+        pick = asym._pick_terms
+
+        def spy(*key):
+            keys.add(key)
+            return pick(*key)
+
+        monkeypatch.setattr(asym, "_pick_terms", spy)
+        assert cli.run(["asympt", "--digits", "60", "--identities", "--ratios", "40"]) == 0
+        capsys.readouterr()
+        assert len(keys) > 100
+        for key in keys:
+            assert pick.__wrapped__(*key) == pick_terms_linear(*key), key
 
     @pytest.mark.parametrize("digits", [-1, -5])
     @pytest.mark.parametrize("evaluate", [asym.eval_M, asym.eval_Mprime, asym.eval_Mdoubleprime])

@@ -21,6 +21,7 @@ from helpers import (
     assign_offsets_smallest_uncovered,
     canonical_shift_scan,
     brute_force_exact,
+    lcm_weight,
     modulus_multisets_fractions,
     necs_stream_recursive,
     shift_class_counts_stream,
@@ -236,7 +237,7 @@ class TestEcsSearch:
         assert str(info.value).endswith(" nodes and 1 multisets)")
 
     def test_budget_zero_stops_phase_one(self):
-        # at k = 13 with gcd 1 phase one visits 9,955 nodes before its first
+        # at k = 13 with gcd 1 phase one visits 6,161 nodes before its first
         # multiset, so the deadline check at phase-one node 1024 aborts
         # before phase two has started
         cfg = en.EcsSearchConfig(gcd=1, budget_seconds=0)
@@ -245,6 +246,60 @@ class TestEcsSearch:
         assert str(info.value).endswith(
             "after 0 nodes and 0 solutions (phase one: 1024 nodes and 0 multisets)"
         )
+
+    def test_count_checks_every_1024_phase_two_nodes(self, monkeypatch):
+        # a dry run finds the multiset of k = 10 in which the rooted phase
+        # two of count_ecs reaches its node 1024, before phase one reaches
+        # its own; the clock passes the deadline after the check before
+        # that multiset, so the count stops at the next check, inside it
+        phase_one = [0]
+        phase_two = finished = 0
+
+        def tick():
+            phase_one[0] += 1
+
+        for i, moduli in enumerate(en._modulus_multisets(10, 1 << 9, None, tick)):
+            nodes = []
+            en._rooted_count(moduli, lambda: nodes.append(None))
+            if phase_two + len(nodes) >= 1024:
+                break
+            phase_two += len(nodes)
+            finished += len(list(en._assign_offsets(moduli, lambda: None)))
+        assert phase_one[0] < 1024 and finished > 0
+        calls = []
+
+        def clock():
+            calls.append(None)
+            # one call sets the deadline; i + 1 checks precede multiset i
+            return 0.0 if len(calls) <= i + 2 else 10.0
+
+        monkeypatch.setattr(en, "time", SimpleNamespace(monotonic=clock))
+        with pytest.raises(en.SearchBudgetExceeded) as info:
+            en.count_ecs(10, en.EcsSearchConfig(budget_seconds=1.0))
+        assert str(info.value).endswith(
+            f"after 1024 nodes and {finished} solutions "
+            f"(phase one: {phase_one[0]} nodes and {i + 1} multisets)"
+        )
+
+    def test_rooted_count_checks_the_division(self, monkeypatch):
+        # a phase two that found one cover through 0 mod 3 among the two
+        # classes of modulus 3 would break the rooting lemma: 3 * 1 / 2
+        monkeypatch.setattr(en, "_assign_offsets", lambda moduli, tick, root: iter([()]))
+        with pytest.raises(ArithmeticError, match="rooting lemma"):
+            en._rooted_count((3, 3), lambda: None)
+
+    def test_root_has_the_largest_ratio(self, monkeypatch):
+        # the root n has the largest n / c_n, the larger n on a tie
+        roots = []
+
+        def spy(moduli, tick, root):
+            roots.append(root)
+            return iter(())
+
+        monkeypatch.setattr(en, "_assign_offsets", spy)
+        for moduli in ((2, 4, 4), (3, 6, 6, 6, 6), (3, 3, 6, 6), (2, 4, 8, 8)):
+            en._rooted_count(moduli, lambda: None)
+        assert roots == [4, 3, 6, 8]
 
     def test_max_modulus_bounds_the_smallest_sizes(self):
         assert list(en.enumerate_ecs(2, en.EcsSearchConfig(max_modulus=1))) == []
@@ -265,6 +320,18 @@ class TestEcsSearch:
     def test_counts_equal_natural_counts(self):
         for k in range(1, 8):
             assert en.count_ecs(k) == A_COUNTS[k], k
+
+    def test_no_gcd_one_cover_below_13_and_thirty_at_13(self):
+        for k in range(2, 13):
+            assert en.count_ecs(k, en.EcsSearchConfig(gcd=1)) == 0, k
+        assert en.count_ecs(13, en.EcsSearchConfig(gcd=1)) == 30
+
+    @slow
+    def test_primitive_counts_at_14_and_15(self):
+        # P(14) and P(15), the gcd-1 (primitive) covers; with P(13) = 30
+        # they give E(k) = A(P(x)) (see ROADMAP)
+        assert en.count_ecs(14, en.EcsSearchConfig(gcd=1)) == 420
+        assert en.count_ecs(15, en.EcsSearchConfig(gcd=1)) == 3870
 
     def test_trivial_cases(self):
         assert list(en.enumerate_ecs(1)) == [cg.TRIVIAL]
@@ -310,13 +377,51 @@ class TestPhaseTwoOracle:
         assert _phase_two_matches_oracle(13, 1) == 30
 
 
+def _rooted_count_matches_full(k, m=None):
+    """Multiset by multiset, the rooted phase two finds exactly the covers
+    of the full phase two that contain 0 mod n, for the n with the largest
+    n / c_n (the larger n on a tie), and n X_0 / c_n is a whole number
+    equal to the full count, which is also what _rooted_count returns."""
+    total = 0
+    for moduli in en._modulus_multisets(k, 1 << (k - 1), m):
+        full = list(en._assign_offsets(moduli, lambda: None))
+        c = {n: moduli.count(n) for n in moduli}
+        root = max(c, key=lambda n: (n / c[n], n))
+        rooted = list(en._assign_offsets(moduli, lambda: None, root))
+        assert set(rooted) == {f for f in full if (root, 0) in f}, moduli
+        assert root * len(rooted) == c[root] * len(full), moduli
+        assert en._rooted_count(moduli, lambda: None) == len(full), moduli
+        total += len(full)
+    return total
+
+
+class TestRootedCount:
+    def test_every_size_up_to_8_and_every_gcd(self):
+        for k in range(1, 9):
+            assert _rooted_count_matches_full(k) == A_COUNTS[k]
+            table = ct.count_size_gcd(k)
+            for m in range(1, k + 1):
+                assert _rooted_count_matches_full(k, m) == table.get(k, m), (k, m)
+
+    @slow
+    def test_sizes_9_10_and_13_14_gcd_one(self):
+        assert _rooted_count_matches_full(9) == A_COUNTS[9]
+        assert _rooted_count_matches_full(10) == A_COUNTS[10]
+        assert _rooted_count_matches_full(13, 1) == 30
+        assert _rooted_count_matches_full(14, 1) == 420
+
+
 def _phase_one_matches_oracle(k, m=None, max_modulus=None):
     """Compare the integer phase one with the Fraction reference search on
-    the whole multiset stream of gcd m: same tuples, same order."""
+    the whole multiset stream of gcd m: same tuples, same order, once the
+    oracle's multisets whose lcm breaks Simpson's inequality (weight above
+    k - 1) are filtered out.  Returns the length of the oracle stream and
+    the multisets the filter removed."""
     max_mod = max_modulus if max_modulus is not None else 1 << (k - 1)
     got = list(en._modulus_multisets(k, max_mod, m))
-    assert got == list(modulus_multisets_fractions(k, max_mod, m)), (k, m, max_mod)
-    return len(got)
+    oracle = list(modulus_multisets_fractions(k, max_mod, m))
+    assert got == [ms for ms in oracle if lcm_weight(ms) < k], (k, m, max_mod)
+    return len(oracle), [ms for ms in oracle if lcm_weight(ms) >= k]
 
 
 class TestPhaseOneOracle:
@@ -346,9 +451,39 @@ class TestPhaseOneOracle:
 
     @slow
     def test_sizes_10_11_and_13_gcd_one(self):
-        assert _phase_one_matches_oracle(10) == 2152
-        assert _phase_one_matches_oracle(11) == 8950
-        assert _phase_one_matches_oracle(13, 1) == 116
+        assert _phase_one_matches_oracle(10)[0] == 2152
+        assert _phase_one_matches_oracle(11)[0] == 8950
+        assert _phase_one_matches_oracle(13, 1)[0] == 116
+
+
+def _weight_cut_loses_no_cover(k, m=None):
+    """Run the full phase two on every multiset that the weight filter
+    removes from the oracle stream, and find no cover; returns how many
+    multisets it removed."""
+    _, removed = _phase_one_matches_oracle(k, m)
+    for moduli in removed:
+        assert next(en._assign_offsets(moduli, lambda: None), None) is None, moduli
+    return len(removed)
+
+
+class TestWeightCut:
+    def test_every_size_up_to_9(self):
+        assert sum(_weight_cut_loses_no_cover(k) for k in range(1, 10)) > 0
+
+    def test_cut_prunes_prefixes(self):
+        # the test on the final pair alone gives the same stream; the cut at
+        # each prefix is what saves nodes.  Phase one visits 1,847 and 7,384
+        # nodes at k = 9 and 10 (2,064 and 8,667 with the final-pair test
+        # alone, 2,236 and 10,202 with no weight cut at all).
+        for k, want in ((9, 1847), (10, 7384)):
+            nodes = []
+            list(en._modulus_multisets(k, 1 << (k - 1), None, lambda: nodes.append(None)))
+            assert len(nodes) == want, k
+
+    @slow
+    def test_sizes_10_11_and_13_14_gcd_one(self):
+        for k, m in ((10, None), (11, None), (13, 1), (14, 1)):
+            _weight_cut_loses_no_cover(k, m)
 
 
 class TestHelpers:
