@@ -116,16 +116,8 @@ def fx_add(a: FixedReal, b: FixedReal) -> FixedReal:
     return FixedReal(a.mantissa + b.mantissa, s, a.error_bound + b.error_bound)
 
 
-def fx_sub(a: FixedReal, b: FixedReal) -> FixedReal:
-    return fx_add(a, fx_neg(b))
-
-
 def fx_neg(a: FixedReal) -> FixedReal:
     return FixedReal(-a.mantissa, a.scale, a.error_bound)
-
-
-def fx_abs(a: FixedReal) -> FixedReal:
-    return FixedReal(abs(a.mantissa), a.scale, a.error_bound)
 
 
 def fx_mul(a: FixedReal, b: FixedReal, scale: int) -> FixedReal:
@@ -469,10 +461,6 @@ class RatioRow:
 class RatioReport:
     target: float
     rows: tuple[RatioRow, ...]
-
-    def gaps_decreasing(self, k_from: int, k_to: int) -> bool:
-        gaps = [row.gap for row in self.rows if k_from <= row.k <= k_to]
-        return all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
 def _ratio_report(k_max: int, count, target_of) -> RatioReport:

@@ -46,17 +46,16 @@ and by the stratum bounds of the primes that a candidate does not have.
 Phase two solves, for each multiset with lcm L, an exact cover with
 multiplicities: the points of Z/L are the items, the classes a mod n the
 options, and each modulus is used as often as the multiset holds it.
-It branches on the uncovered point with the fewest classes that can
-still cover it, so dead points end a branch and forced points cost no
-branching, and every solution is visited along exactly one path.
-
-Counting needs less of phase two, by the rooting lemma (proved in
-count_ecs): translation by 1 permutes the covers of one multiset and
-sends a mod n to a + 1 mod n, so if n occurs c_n times, the number S of
-covers and the number X_0 of those that contain 0 mod n satisfy
-c_n S = n X_0.  count_ecs places 0 mod n first, for the n with the
-largest n / c_n, and adds n X_0 / c_n; the listings keep the full phase
-two.
+It places the root class 0 mod n first, for the root n (the modulus
+with the largest n / c_n, c_n its multiplicity), then branches on the
+uncovered point with the fewest classes that can still cover it, so
+dead points end a branch and forced points cost no branching, and every
+rooted cover is visited along exactly one path.  Every cover is a
+translate of exactly one rooted cover (proved in count_ecs): with b(R)
+the largest offset of modulus n in a rooted cover R, the pairs (R, t)
+with 0 <= t < n - b(R) map one-to-one onto all covers by R + t, whose
+least offset of modulus n is t.  enumerate_ecs emits those translates,
+and count_ecs adds n - b(R) over the rooted covers.
 
 Internally systems travel as flat sorted tuples of (modulus, offset)
 pairs; CoveringSystem objects are built only at the public boundary.
@@ -201,9 +200,9 @@ class EcsSearchConfig:
     every completion.  The tests check the inequality only empirically:
     under it the search finds A(k) covers for k <= 12 (no cover of gcd 1
     has fewer than 13 classes) and P(13) = 30, where P(k) counts the
-    covers of gcd 1, and the full phase two finds no cover in any
-    multiset that the cut removes (k <= 9, and under NECS_SLOW k = 10
-    and 11 and gcd 1 at k = 13 and 14).
+    covers of gcd 1, and phase two finds no rooted cover, hence no cover,
+    in any multiset that the cut removes (k <= 9, and under NECS_SLOW
+    k = 10 and 11 and gcd 1 at k = 13 and 14).
     gcd restricts output to systems with that exact gcd; gcd=1 also
     restricts branching to moduli with at least two distinct prime
     factors, since any prime-power modulus forces its prime into every
@@ -211,9 +210,9 @@ class EcsSearchConfig:
     to multiples of m.  max_modulus below 1 and a budget_seconds that is
     negative or NaN raise ValueError; a budget of 0 aborts at the first check.
     budget_seconds aborts the search distinctly via SearchBudgetExceeded;
-    both phases check the deadline every 1024 search nodes, and phase two
-    also before each modulus multiset.  count_ecs keeps those checks on its
-    rooted phase two.
+    both phases check the deadline every 1024 search nodes, phase two also
+    before each modulus multiset, and enumerate_ecs also every 1024
+    emitted covers.
     """
 
     max_modulus: int | None = None
@@ -512,9 +511,17 @@ def _maximal_multiplicities_ok(moduli: list[int], factors) -> bool:
     return True
 
 
-def _assign_offsets(moduli: tuple[int, ...], tick, root: int | None = None) -> Iterator[Flat]:
-    """All exact covers with the given modulus multiset, each exactly once;
-    with a root modulus n, only those that contain the class 0 mod n.
+def _root(counts: dict[int, int]) -> int:
+    """The root of a modulus multiset with multiplicities counts: the n with
+    the largest n / c_n (the larger n on a tie), since by translation a
+    share c_n / n of the covers contain 0 mod n."""
+    return max(counts, key=lambda n: (Fraction(n, counts[n]), n))
+
+
+def _assign_offsets(moduli: tuple[int, ...], tick) -> Iterator[tuple[Flat, int]]:
+    """The rooted covers of the given modulus multiset: every exact cover
+    that contains 0 mod n, for the root n, exactly once, with its number
+    n - b of translates (see count_ecs), b its largest offset of modulus n.
 
     An exact cover with multiplicities on Z/L, L the lcm of the moduli:
     the items are the points of Z/L, the options are the classes a mod n,
@@ -526,19 +533,21 @@ def _assign_offsets(moduli: tuple[int, ...], tick, root: int | None = None) -> I
     Each point lies in exactly one class of an exact cover, so distinct
     branches lead to distinct solutions and every solution is reached
     once.  The uncovered points are the bits of a Python int; since the
-    densities sum to one, they run out exactly when the moduli do.  A root
-    is placed before the search starts, as one use of its modulus.
+    densities sum to one, they run out exactly when the moduli do.  The
+    root is placed before the search starts, as one use of its modulus.
     """
     counts: dict[int, int] = {}
     for n in moduli:
         counts[n] = counts.get(n, 0) + 1
     values = sorted(counts)
+    root = _root(counts)
     period = 1
     for n in values:
         period = period * n // gcd(period, n)
     # the class 0 mod n on Z/L: bits 0, n, 2n, ... (a geometric series)
     comb = {n: ((1 << period) - 1) // ((1 << n) - 1) for n in values}
-    chosen: list[tuple[int, int]] = []
+    chosen = [(root, 0)]
+    counts[root] -= 1
 
     def live_offsets(free: int, n: int) -> int:
         """Bit a (a < n) set iff every point of a mod n is in free."""
@@ -550,10 +559,10 @@ def _assign_offsets(moduli: tuple[int, ...], tick, root: int | None = None) -> I
         # two overlapping windows of span terms cover all q of them
         return free & (free >> ((q - span) * n)) & ((1 << n) - 1)
 
-    def rec(free: int) -> Iterator[Flat]:
+    def rec(free: int) -> Iterator[tuple[Flat, int]]:
         tick()
         if not free:
-            yield tuple(sorted(chosen))
+            yield tuple(sorted(chosen)), root - max(a for n, a in chosen if n == root)
             return
         live = {n: live_offsets(free, n) for n in values if counts[n]}
         # at_least[c]: the uncovered points with at least c live options
@@ -580,33 +589,14 @@ def _assign_offsets(moduli: tuple[int, ...], tick, root: int | None = None) -> I
             chosen.pop()
             counts[n] += 1
 
-    free = (1 << period) - 1
-    if root is not None:
-        counts[root] -= 1
-        chosen.append((root, 0))
-        free &= ~comb[root]
-    yield from rec(free)
+    yield from rec(((1 << period) - 1) & ~comb[root])
 
 
-def _rooted_count(moduli: tuple[int, ...], tick) -> int:
-    """Number of exact covers with the given modulus multiset, by the
-    rooting lemma (see count_ecs): n X_0 / c_n for the modulus n with the
-    largest n / c_n (the larger n on a tie), where X_0 is the number of
-    covers that contain 0 mod n and c_n the multiplicity of n.  Raises
-    ArithmeticError if c_n does not divide n X_0, which the lemma rules
-    out."""
-    counts: dict[int, int] = {}
-    for n in moduli:
-        counts[n] = counts.get(n, 0) + 1
-    root = max(counts, key=lambda n: (Fraction(n, counts[n]), n))
-    rooted = sum(1 for _ in _assign_offsets(moduli, tick, root))
-    total, rest = divmod(root * rooted, counts[root])
-    if rest:
-        raise ArithmeticError(
-            f"rooting lemma fails on {moduli}: {rooted} covers contain "
-            f"0 mod {root}, and {root} * {rooted} is not a multiple of {counts[root]}"
-        )
-    return total
+def _translates(rooted: Flat, span: int) -> Iterator[Flat]:
+    """The translates rooted + t for 0 <= t < span, each offset reduced mod
+    its modulus (see count_ecs)."""
+    for t in range(span):
+        yield tuple(sorted((n, (a + t) % n) for n, a in rooted))
 
 
 class _Search:
@@ -661,13 +651,18 @@ class _Search:
 
 def _ecs_stream(k: int, cfg: EcsSearchConfig) -> Iterator[Flat]:
     """Both phases, multiset by multiset: every exact cover of size k within
-    the config's bounds, as flat tuples."""
+    the config's bounds, as flat tuples: the translates of each rooted
+    cover in turn.  One rooted cover can have up to 2^(k-1) translates, so
+    the deadline is also checked every 1024 emitted covers."""
     search = _Search(k, cfg)
     tick = search.ticker(1)
     for moduli in search.multisets_checked():
-        for flat in _assign_offsets(moduli, tick):
-            search.found += 1
-            yield flat
+        for rooted, span in _assign_offsets(moduli, tick):
+            for flat in _translates(rooted, span):
+                search.found += 1
+                yield flat
+                if search.found % 1024 == 0:
+                    search.check_deadline()
 
 
 def enumerate_ecs(
@@ -678,13 +673,14 @@ def enumerate_ecs(
     Two phases: enumerate the feasible modulus multisets (nondecreasing,
     exact density budget, per-step bounds ceil(1/r) <= n <= floor(c/r)),
     then, within each multiset, solve the exact cover of Z/lcm by its
-    residue classes, branching on the point with the fewest classes that
-    can still cover it.  With ordered=True the stream is materialized and
-    emitted in canonical lexicographic order; ordered=False streams
-    multiset by multiset with O(k) memory.  May raise SearchBudgetExceeded
-    when a time budget is configured; its message gives the search nodes
-    visited and the solutions found by then, and the nodes and multisets
-    of phase one.
+    residue classes with the root class 0 mod n placed first, branching on
+    the point with the fewest classes that can still cover it, and emit
+    the translates of each rooted cover (see count_ecs).  With
+    ordered=True the stream is materialized and emitted in canonical
+    lexicographic order; ordered=False streams multiset by multiset with
+    O(k) memory.  May raise SearchBudgetExceeded when a time budget is
+    configured; its message gives the search nodes visited and the
+    solutions found by then, and the nodes and multisets of phase one.
     """
     flats: Iterable[Flat] = _ecs_stream(k, config or EcsSearchConfig())
     if ordered:
@@ -695,27 +691,27 @@ def enumerate_ecs(
 
 def count_ecs(k: int, config: EcsSearchConfig | None = None) -> int:
     """Number of exact covering systems of size k (honors config bounds),
-    counted multiset by multiset by the rooting lemma.
+    counted multiset by multiset from the rooted covers.
 
-    Rooting lemma.  Fix a modulus multiset, let C be its set of exact
-    covers, and let n occur c_n times in it.  Translation by 1 sends the
-    class a mod n to a + 1 mod n; it maps exact covers to exact covers
-    with the same moduli, and is a bijection of C (translation by -1
-    inverts it).  It sends the covers that contain a mod n onto those that
-    contain a + 1 mod n, so X_a, the number of covers that contain a mod n,
-    is the same X_0 for every a.  The classes of modulus n in one cover
-    are disjoint, hence distinct, so counting the pairs (cover, class of
-    modulus n) gives c_n |C| = n X_0.  Phase two therefore places 0 mod n
-    first and counts X_0 covers, for the n with the largest n / c_n, so
-    that X_0 = c_n |C| / n is smallest, and |C| = n X_0 / c_n.
+    Translation lemma.  Fix a modulus multiset and its root n, and call a
+    cover rooted when it contains 0 mod n; for a rooted cover R let b(R) be
+    its largest offset of modulus n.  Translation by t (a mod m to
+    a + t mod m) maps the covers of the multiset to covers of it, and
+    (R, t) -> R + t, for 0 <= t < n - b(R), is a bijection from those pairs
+    onto all covers.  One-to-one: the offsets of modulus n in R + t are the
+    a + t < n for the offsets a of R, so t is the least of them and
+    R = (R + t) - t.  Onto: if a is the least offset of modulus n in a
+    cover C, then R = C - a is rooted, with offsets a' - a <= n - 1 - a of
+    modulus n, so a < n - b(R) and C = R + a.  Hence the covers number the
+    sum of n - b(R) over the rooted covers, which phase two finds with
+    0 mod n placed first.
 
     May raise SearchBudgetExceeded like enumerate_ecs; there the solutions
     in its message are the covers counted from the multisets finished by
-    then.  Raises ArithmeticError if a rooted count is not divisible as
-    the lemma says.
+    then.
     """
     search = _Search(k, config or EcsSearchConfig())
     tick = search.ticker(1)
     for moduli in search.multisets_checked():
-        search.found += _rooted_count(moduli, tick)
+        search.found += sum(span for _, span in _assign_offsets(moduli, tick))
     return search.found

@@ -701,6 +701,13 @@ def _splits_into_equal_parts_fractions(items, parts, target):
     return place(0)
 
 
+def gaps_decrease(report, k_from, k_to):
+    """Do the gaps |ratio - target| of a ratio report strictly decrease
+    over k_from <= k <= k_to?"""
+    gaps = [row.gap for row in report.rows if k_from <= row.k <= k_to]
+    return all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
 def pick_terms_linear(d, r_up, target):
     """Reference for asymptotics._pick_terms: scan n = 4, 12, 20, ... for
     the first tail bound of M^(d) at most target."""

@@ -22,6 +22,7 @@ from helpers import (
     LCM_VALUE_COUNTS,
     SHIFT_CLASS_COUNTS,
     TABLE2,
+    gaps_decrease,
     shift_class_counts_stream,
     slow,
 )
@@ -138,7 +139,7 @@ def test_09_constants_fast():
     assert beta.decimal(50) == BETA[:53]
     assert asym.eval_Mprime(alpha, 30).decimal(7) == "-1.5863869"
     m07 = asym.eval_M(Fraction(7, 10), 30)
-    assert asym.fx_abs(m07).decimal(7) == "0.2582108"
+    assert m07.decimal(7) == "-0.2582108"
     ok("criterion 9 (fast): all printed constants, tau and beta to 50 digits")
 
 
@@ -194,10 +195,10 @@ def test_13_convergence_trend():
     last = rep.rows[-1]
     assert last.k == 22
     assert abs(last.ratio - rep.target) / rep.target < 0.10
-    assert rep.gaps_decreasing(15, 22)
+    assert gaps_decrease(rep, 15, 22)
     for m in (2, 3):
         gcd_rep = asym.gcd_ratio_check(22, m)
-        assert gcd_rep.gaps_decreasing(15, 22)
+        assert gaps_decrease(gcd_rep, 15, 22)
     ok("criterion 13: ratio within 10% at k = 22, gaps decreasing, gcd trends")
 
 

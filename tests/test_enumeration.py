@@ -2,6 +2,8 @@
 general exact-cover search."""
 
 import time
+from collections import Counter
+from functools import cache
 from itertools import islice
 from math import gcd
 from types import SimpleNamespace
@@ -169,6 +171,86 @@ class TestShiftClasses:
             assert {m: en.shift_class_count(k, m) for m in want} == want
 
 
+def _translate(flat, t):
+    """The system flat + t, as a sorted ((modulus, offset), ...) tuple."""
+    return tuple(sorted((n, (a + t) % n) for n, a in flat))
+
+
+def _flat(system):
+    return tuple(sorted((c.modulus, c.offset) for c in system.classes))
+
+
+def _unordered(k):
+    """The size-k exact-cover listing as flat tuples, streamed as
+    enumerate_ecs(ordered=False) streams it, with a one-second budget."""
+    return en._ecs_stream(k, en.EcsSearchConfig(budget_seconds=1.0))
+
+
+def _deadline_checks(k, listing, until):
+    """Dry run of the deadline checks of a size-k exact-cover search, in
+    order, up to the first check made by until: at each check, what made
+    it and the counters of the abort message (phase-two nodes, solutions,
+    phase-one nodes, multisets).  The search checks before each multiset
+    and at every 1024th node of either phase; a listing also checks at
+    every 1024th emitted cover, and a count adds a multiset's covers once
+    it has finished it."""
+    nodes = [0, 0]
+    run = {"found": 0, "multisets": 0}
+    checks = []
+
+    def check(why):
+        checks.append((why, nodes[1], run["found"], nodes[0], run["multisets"]))
+
+    def ticker(phase, why):
+        def tick():
+            nodes[phase] += 1
+            if nodes[phase] % 1024 == 0:
+                check(why)
+
+        return tick
+
+    for moduli in en._modulus_multisets(k, 1 << (k - 1), None, ticker(0, "phase-one node")):
+        run["multisets"] += 1
+        check("multiset")
+        covers = 0
+        for _, span in en._assign_offsets(moduli, ticker(1, "phase-two node")):
+            covers += span
+            if listing:
+                for _ in range(span):
+                    run["found"] += 1
+                    if run["found"] % 1024 == 0:
+                        check("emitted cover")
+        if not listing:
+            run["found"] += covers
+        made = [why for why, *_ in checks]
+        if until in made:
+            return checks[: made.index(until) + 1]
+    raise AssertionError(f"no check made by {until}")
+
+
+def _abort_message(phase_two, found, phase_one, multisets):
+    return (
+        f"after {phase_two} nodes and {found} solutions "
+        f"(phase one: {phase_one} nodes and {multisets} multisets)"
+    )
+
+
+def _abort_at_last(monkeypatch, checks, search):
+    """Run search with a clock that passes the deadline at the last of the
+    dry run's checks (the first call sets the deadline); returns the abort
+    message."""
+    calls = []
+
+    def clock():
+        calls.append(None)
+        return 0.0 if len(calls) <= len(checks) else 10.0
+
+    monkeypatch.setattr(en, "time", SimpleNamespace(monotonic=clock))
+    with pytest.raises(en.SearchBudgetExceeded) as info:
+        search()
+    return str(info.value)
+
+
 class TestEcsSearch:
     def test_small_sizes_equal_natural(self):
         for k in range(1, 7):
@@ -218,23 +300,14 @@ class TestEcsSearch:
         assert "after 0 nodes and 0 solutions" in str(info.value)
 
     def test_phase_two_checks_every_1024_nodes(self, monkeypatch):
-        # a clock that passes the deadline after the check at the first
-        # multiset: k = 10's first multiset takes more than 1024 phase-2
-        # nodes, and phase one reaches it in fewer than 1024
-        calls = []
-
-        def clock():
-            calls.append(None)
-            return 0.0 if len(calls) <= 2 else 10.0
-
-        monkeypatch.setattr(en, "time", SimpleNamespace(monotonic=clock))
-        found = 0
-        with pytest.raises(en.SearchBudgetExceeded) as info:
-            for _ in en.enumerate_ecs(10, en.EcsSearchConfig(budget_seconds=1.0), ordered=False):
-                found += 1
-        assert found > 0
-        assert f"after 1024 nodes and {found} solutions" in str(info.value)
-        assert str(info.value).endswith(" nodes and 1 multisets)")
+        # a dry run finds the check at phase-two node 1024 of the k = 10
+        # listing; the clock passes the deadline after the check before it
+        checks = _deadline_checks(10, True, "phase-two node")
+        _, nodes, solutions, *_ = checks[-1]
+        found = []
+        message = _abort_at_last(monkeypatch, checks, lambda: found.extend(_unordered(10)))
+        assert nodes == 1024 and solutions == len(found) > 0
+        assert message.endswith(_abort_message(*checks[-1][1:]))
 
     def test_budget_zero_stops_phase_one(self):
         # at k = 13 with gcd 1 phase one visits 6,161 nodes before its first
@@ -248,58 +321,38 @@ class TestEcsSearch:
         )
 
     def test_count_checks_every_1024_phase_two_nodes(self, monkeypatch):
-        # a dry run finds the multiset of k = 10 in which the rooted phase
-        # two of count_ecs reaches its node 1024, before phase one reaches
-        # its own; the clock passes the deadline after the check before
-        # that multiset, so the count stops at the next check, inside it
-        phase_one = [0]
-        phase_two = finished = 0
-
-        def tick():
-            phase_one[0] += 1
-
-        for i, moduli in enumerate(en._modulus_multisets(10, 1 << 9, None, tick)):
-            nodes = []
-            en._rooted_count(moduli, lambda: nodes.append(None))
-            if phase_two + len(nodes) >= 1024:
-                break
-            phase_two += len(nodes)
-            finished += len(list(en._assign_offsets(moduli, lambda: None)))
-        assert phase_one[0] < 1024 and finished > 0
-        calls = []
-
-        def clock():
-            calls.append(None)
-            # one call sets the deadline; i + 1 checks precede multiset i
-            return 0.0 if len(calls) <= i + 2 else 10.0
-
-        monkeypatch.setattr(en, "time", SimpleNamespace(monotonic=clock))
-        with pytest.raises(en.SearchBudgetExceeded) as info:
-            en.count_ecs(10, en.EcsSearchConfig(budget_seconds=1.0))
-        assert str(info.value).endswith(
-            f"after 1024 nodes and {finished} solutions "
-            f"(phase one: {phase_one[0]} nodes and {i + 1} multisets)"
+        # the same for count_ecs, whose solutions are the covers of the
+        # multisets it has finished, and which checks no emitted cover
+        checks = _deadline_checks(10, False, "phase-two node")
+        _, nodes, solutions, phase_one, _ = checks[-1]
+        message = _abort_at_last(
+            monkeypatch, checks, lambda: en.count_ecs(10, en.EcsSearchConfig(budget_seconds=1.0))
         )
+        assert nodes == 1024 and solutions > 0 and phase_one < 1024
+        assert message.endswith(_abort_message(*checks[-1][1:]))
 
-    def test_rooted_count_checks_the_division(self, monkeypatch):
-        # a phase two that found one cover through 0 mod 3 among the two
-        # classes of modulus 3 would break the rooting lemma: 3 * 1 / 2
-        monkeypatch.setattr(en, "_assign_offsets", lambda moduli, tick, root: iter([()]))
-        with pytest.raises(ArithmeticError, match="rooting lemma"):
-            en._rooted_count((3, 3), lambda: None)
+    def test_listing_checks_every_1024_emitted_covers(self, monkeypatch):
+        # k = 12's first multiset, the binary chain 2, 4, ..., 2^10, 2^11,
+        # 2^11, has one rooted cover and 1024 translates of it; the clock
+        # passes the deadline after the check before that multiset, and the
+        # listing stops at the check after its 1024th cover, in mid-emission
+        checks = _deadline_checks(12, True, "emitted cover")
+        assert [why for why, *_ in checks] == ["multiset", "emitted cover"]
+        _, nodes, solutions, *_ = checks[-1]
+        found = []
+        message = _abort_at_last(monkeypatch, checks, lambda: found.extend(_unordered(12)))
+        assert nodes < 1024 and solutions == len(found) == 1024
+        # each is the rooted cover moved by its least offset of modulus 2^11
+        assert len({_translate(f, -min(a for n, a in f if n == 2048)) for f in found}) == 1
+        assert message.endswith(_abort_message(*checks[-1][1:]))
 
-    def test_root_has_the_largest_ratio(self, monkeypatch):
+    def test_root_has_the_largest_ratio(self):
         # the root n has the largest n / c_n, the larger n on a tie
-        roots = []
-
-        def spy(moduli, tick, root):
-            roots.append(root)
-            return iter(())
-
-        monkeypatch.setattr(en, "_assign_offsets", spy)
-        for moduli in ((2, 4, 4), (3, 6, 6, 6, 6), (3, 3, 6, 6), (2, 4, 8, 8)):
-            en._rooted_count(moduli, lambda: None)
-        assert roots == [4, 3, 6, 8]
+        cases = ((2, 4, 4), (3, 6, 6, 6, 6), (3, 3, 6, 6), (2, 4, 8, 8))
+        assert [en._root(Counter(moduli)) for moduli in cases] == [4, 3, 6, 8]
+        # and the rooted search places 0 mod root: of the two covers of
+        # (2, 4, 4), only the one with the classes 0 and 2 mod 4
+        assert list(en._assign_offsets((2, 4, 4), lambda: None)) == [(((2, 1), (4, 0), (4, 2)), 2)]
 
     def test_max_modulus_bounds_the_smallest_sizes(self):
         assert list(en.enumerate_ecs(2, en.EcsSearchConfig(max_modulus=1))) == []
@@ -343,7 +396,6 @@ class TestEcsSearch:
                 en.enumerate_necs(k, ordered=False)
             )
 
-    @slow
     def test_thirty_gcd_one_systems_at_13(self):
         found = list(en.enumerate_ecs(13, en.EcsSearchConfig(gcd=1)))
         assert len(found) == 30
@@ -352,15 +404,40 @@ class TestEcsSearch:
             assert cg.is_exact(s)
             assert not cg.is_natural(s)
 
+    @slow
+    def test_420_gcd_one_systems_at_14(self):
+        found = list(en.enumerate_ecs(14, en.EcsSearchConfig(gcd=1)))
+        assert len(found) == len(set(found)) == 420
+        for s in found:
+            assert cg.gcd_of(s) == 1
+            assert cg.is_exact(s)
+            assert not cg.is_natural(s)
+        flats = {_flat(s) for s in found}
+        assert {_translate(f, 1) for f in flats} == flats
+
+
+def _listed(moduli):
+    """The covers that phase two lists for one multiset: the translates of
+    its rooted covers."""
+    rooted = en._assign_offsets(moduli, lambda: None)
+    return [f for r, span in rooted for f in en._translates(r, span)]
+
+
+@cache
+def _oracle(moduli):
+    """The covers of one multiset by the smallest-uncovered reference
+    search, kept for the slow tests that share a size."""
+    return frozenset(assign_offsets_smallest_uncovered(moduli))
+
 
 def _phase_two_matches_oracle(k, m=None):
-    """Compare phase two with the smallest-uncovered reference search,
-    multiset by multiset, on the exact set of solutions."""
+    """Compare the phase-two listing with the smallest-uncovered reference
+    search, multiset by multiset, on the exact set of solutions."""
     total = 0
     for moduli in en._modulus_multisets(k, 1 << (k - 1), m):
-        got = list(en._assign_offsets(moduli, lambda: None))
+        got = _listed(moduli)
         assert len(got) == len(set(got)), moduli
-        assert set(got) == set(assign_offsets_smallest_uncovered(moduli)), moduli
+        assert set(got) == _oracle(moduli), moduli
         total += len(got)
     return total
 
@@ -377,38 +454,44 @@ class TestPhaseTwoOracle:
         assert _phase_two_matches_oracle(13, 1) == 30
 
 
-def _rooted_count_matches_full(k, m=None):
-    """Multiset by multiset, the rooted phase two finds exactly the covers
-    of the full phase two that contain 0 mod n, for the n with the largest
-    n / c_n (the larger n on a tie), and n X_0 / c_n is a whole number
-    equal to the full count, which is also what _rooted_count returns."""
+def _rooted_listing_holds(k, m=None, oracle=False):
+    """Multiset by multiset: the count, the sum of n - b(R) over the rooted
+    covers R, equals the number of listed covers; the rooted covers are
+    exactly the listed covers that contain 0 mod n, for the n with the
+    largest n / c_n (the larger n on a tie); and the listing is closed under
+    translation by 1.  With oracle, the listing is also the reference
+    search's.  Returns the number of covers."""
     total = 0
     for moduli in en._modulus_multisets(k, 1 << (k - 1), m):
-        full = list(en._assign_offsets(moduli, lambda: None))
-        c = {n: moduli.count(n) for n in moduli}
+        rooted = list(en._assign_offsets(moduli, lambda: None))
+        listed = [f for r, span in rooted for f in en._translates(r, span)]
+        assert sum(span for _, span in rooted) == len(listed) == len(set(listed)), moduli
+        c = Counter(moduli)
         root = max(c, key=lambda n: (n / c[n], n))
-        rooted = list(en._assign_offsets(moduli, lambda: None, root))
-        assert set(rooted) == {f for f in full if (root, 0) in f}, moduli
-        assert root * len(rooted) == c[root] * len(full), moduli
-        assert en._rooted_count(moduli, lambda: None) == len(full), moduli
-        total += len(full)
+        assert {r for r, _ in rooted} == {f for f in listed if (root, 0) in f}, moduli
+        assert {_translate(f, 1) for f in listed} == set(listed), moduli
+        if oracle:
+            assert set(listed) == _oracle(moduli), moduli
+        total += len(listed)
     return total
 
 
 class TestRootedCount:
     def test_every_size_up_to_8_and_every_gcd(self):
         for k in range(1, 9):
-            assert _rooted_count_matches_full(k) == A_COUNTS[k]
+            assert _rooted_listing_holds(k) == A_COUNTS[k] == en.count_ecs(k)
             table = ct.count_size_gcd(k)
             for m in range(1, k + 1):
-                assert _rooted_count_matches_full(k, m) == table.get(k, m), (k, m)
+                got = _rooted_listing_holds(k, m)
+                assert got == table.get(k, m) == en.count_ecs(k, en.EcsSearchConfig(gcd=m)), (k, m)
 
     @slow
     def test_sizes_9_10_and_13_14_gcd_one(self):
-        assert _rooted_count_matches_full(9) == A_COUNTS[9]
-        assert _rooted_count_matches_full(10) == A_COUNTS[10]
-        assert _rooted_count_matches_full(13, 1) == 30
-        assert _rooted_count_matches_full(14, 1) == 420
+        # the reference search takes minutes at k = 10 and longer at 14, gcd 1
+        assert _rooted_listing_holds(9, oracle=True) == A_COUNTS[9]
+        assert _rooted_listing_holds(13, 1, oracle=True) == 30
+        assert _rooted_listing_holds(10) == A_COUNTS[10] == 65757
+        assert _rooted_listing_holds(14, 1) == 420
 
 
 def _phase_one_matches_oracle(k, m=None, max_modulus=None):
@@ -457,9 +540,10 @@ class TestPhaseOneOracle:
 
 
 def _weight_cut_loses_no_cover(k, m=None):
-    """Run the full phase two on every multiset that the weight filter
-    removes from the oracle stream, and find no cover; returns how many
-    multisets it removed."""
+    """Run the rooted phase two on every multiset that the weight filter
+    removes from the oracle stream, and find no rooted cover, hence no
+    cover (each cover has a translate that contains 0 mod the root);
+    returns how many multisets it removed."""
     _, removed = _phase_one_matches_oracle(k, m)
     for moduli in removed:
         assert next(en._assign_offsets(moduli, lambda: None), None) is None, moduli
