@@ -487,8 +487,8 @@ def _ratio_report(k_max: int, count, target_of) -> RatioReport:
 def ratio_check(k_max: int) -> RatioReport:
     """a_k * k^(3/2) / gamma^k against its limit c, for k = 1..k_max.
 
-    Counts come from the dynamic-programming table (an independent path
-    from the series reversion).
+    Counts are the row sums of count_size_gcd, which reads its table off
+    the powers of A, so a_k here is the reversion coefficient itself.
     """
     return _ratio_report(k_max, CountTable.row_sum, lambda cs: float(cs.c.value()))
 

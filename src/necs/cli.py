@@ -300,8 +300,12 @@ def _emit_verify(args) -> int:
         ok = ok and lhs.coeffs == tuple(total)
     report("power-sums", ok)
 
+    # count_size_gcd reads its table off the powers of A, so its row sums are
+    # A by construction; the recurrence over lcm vectors is the independent route.
+    # With lcm_max=1 every lcm above 1 shares the overflow bucket, so this is
+    # the recurrence plus one tag, and its marginal is exact.
     k_dp = min(order, 22)
-    table = ct.count_size_gcd(k_dp)
+    table = ct.count_size_gcd_lcm(k_dp, lcm_max=1).marginal()
     report(
         "dp-vs-reversion",
         all(table.row_sum(k) == a[k] for k in range(1, k_dp + 1)),

@@ -14,26 +14,36 @@ with the single base case a(1, 1) = 1 (so a(k, 1) = 0 for k >= 2, and
 a(k, k) = 1 comes out of the sum).  For n >= 2 the coefficient
 [x^j] W_e^n involves W_e only below degree j, so the power rows
 [x^j] W_e^n are kept from one row k to the next: row k costs one
-convolution entry per (e, n) pair, about O(K^3 log K) for the table up
-to K.  Row sums reproduce the reversion of the Mobius series by an
-independent route, which is also how a cached table is checked when it
-is read back.
+convolution entry per (e, n) pair, about O(K^3 log K) ring operations
+for the table up to K.
 
-The recurrence is written once, over a coefficient ring.  Plain integers
-give a(k, m).  Refining by lcm, a coefficient is a vector of counts
-indexed by lcm value, multiplication lcm-convolves, and the count for
-gcd n lifts each lcm l to n * l, since the lcm of an assembled system is
-n times the lcm of its pieces' lcms.  The lcm values attained at size k
-are the support of row k of that table.
+The plain counts need no recurrence, since W_e = A^e, with A the
+reversion of the Mobius series (the size series of all systems).
+Proof: [x^j] W_e counts the systems of size j whose gcd is a multiple
+of e, and contracting by e makes these the assemblies of arbitrary
+e-tuples of systems whose sizes sum to j, counted by [x^j] A^e.  Mobius
+inversion over the multiples of m then gives
 
-The third ring counts systems by period, the least t > 0 with S + t = S,
-and so counts them up to translation.  A coefficient is a vector of
-counts indexed by period and multiplication lcm-convolves again, since a
-tuple of systems is fixed by t iff each of them is; only the lift is
-new.  Translating a system S of gcd n by 1 sends its contraction pieces
-(P_0, ..., P_{n-1}) to (shift(P_{n-1}, 1), P_0, ..., P_{n-2}): the pieces
-rotate, and the one that wraps around is shifted by 1.  So S is fixed by
-a translation t, with d = gcd(t, n), iff along each of the d cycles of
+    a(k, m) = sum_{j >= 1} mu(j) [x^k] A^(jm) = [x^k] M(A^m),
+
+so count_size_gcd reads the whole table off the powers A^N, N <= K,
+in about K^3 / 6 integer multiplications.
+
+The recurrence serves the two refinements, over one ring: a
+coefficient is a vector of counts indexed by lcm value, and
+multiplication lcm-convolves.  Refining by lcm, the count for gcd n
+lifts each lcm l to n * l, since the lcm of an assembled system is n
+times the lcm of its pieces' lcms.  The lcm values attained at size k
+are the support of row k of that table, and its marginal over lcm is
+a(k, m) by the recurrence, an independent route from the powers of A.
+
+Refining by period, the least t > 0 with S + t = S, counts systems up
+to translation.  Periods lcm-convolve too, since a tuple of systems is
+fixed by t iff each of them is; only the lift is new.  Translating a
+system S of gcd n by 1 sends its contraction pieces (P_0, ..., P_{n-1})
+to (shift(P_{n-1}, 1), P_0, ..., P_{n-2}): the pieces rotate, and the
+one that wraps around is shifted by 1.  So S is fixed by a translation
+t, with d = gcd(t, n), iff along each of the d cycles of
 the rotation the pieces are translates of one free representative, and
 that representative is fixed by t/d.  The d representatives have total
 size k d / n and globally coprime gcds, which is what the Mobius sum
@@ -54,14 +64,13 @@ the number of translation classes is s(k, n) = sum_p V(k, n)[p] / p.
 from __future__ import annotations
 
 import json
-import operator
 import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache, reduce
 from math import gcd, lcm
 
-from .series import A_series, mobius_upto, prime_factors
+from .series import A_series, mobius_upto, mul, prime_factors
 
 #: lcm bucket key for counts whose lcm exceeded the configured cap.
 OVERFLOW = -1
@@ -125,7 +134,8 @@ class LcmCountTable:
 
 
 def count_size_gcd(max_size: int, cache_path: str | None = None) -> CountTable:
-    """Fill the (size, gcd) table for all 1 <= m <= k <= max_size.
+    """Fill the (size, gcd) table for all 1 <= m <= k <= max_size, from
+    the powers of A (see the module docstring).
 
     With a cache path, a cached table that reaches max_size is read back;
     otherwise the table is computed and written to the cache.
@@ -136,8 +146,7 @@ def count_size_gcd(max_size: int, cache_path: str | None = None) -> CountTable:
     if table is not None and table.max_size >= max_size:
         kept = {km: v for km, v in table.entries.items() if km[0] <= max_size}
         return CountTable(max_size, kept)
-    a = _fill(max_size, 1, operator.add, operator.mul, operator.mul, lambda sums, k, n: sums[k, n])
-    table = CountTable(max_size, a)
+    table = CountTable(max_size, _size_gcd_entries(max_size))
     if cache_path:
         _save_cache(cache_path, table)
     return table
@@ -145,8 +154,6 @@ def count_size_gcd(max_size: int, cache_path: str | None = None) -> CountTable:
 
 def count_size_gcd_lcm(max_size: int, lcm_max: int | None = None) -> LcmCountTable:
     """Fill the (size, gcd, lcm) table for 1 <= m <= k <= max_size."""
-    if max_size < 1:
-        raise ValueError("need max_size >= 1")
     if lcm_max is not None and lcm_max < 1:
         raise ValueError(f"need lcm_max >= 1, got {lcm_max}")
 
@@ -158,7 +165,7 @@ def count_size_gcd_lcm(max_size: int, lcm_max: int | None = None) -> LcmCountTab
             out[l] = out.get(l, 0) + c
         return {l: c for l, c in out.items() if c}
 
-    a = _fill(max_size, {1: 1}, _vec_add, _lcm_mul, _vec_scale, lift)
+    a = _fill(max_size, lift)
     entries = {(k, m, l): c for (k, m), vec in a.items() for l, c in vec.items()}
     return LcmCountTable(max_size, lcm_max, entries)
 
@@ -172,8 +179,6 @@ def count_size_gcd_period(max_size: int) -> dict[tuple[int, int], dict[int, int]
     fall into translation orbits of size p.  See the module docstring for
     the lift.
     """
-    if max_size < 1:
-        raise ValueError("need max_size >= 1")
 
     def lift(sums, k: int, n: int) -> dict[int, int]:
         @cache
@@ -201,7 +206,21 @@ def count_size_gcd_period(max_size: int) -> dict[tuple[int, int], dict[int, int]
                 out[p] = v
         return out
 
-    return _fill(max_size, {1: 1}, _vec_add, _lcm_mul, _vec_scale, lift)
+    return _fill(max_size, lift)
+
+
+def _size_gcd_entries(max_size: int) -> dict[tuple[int, int], int]:
+    """The nonzero a(k, m) = sum_j mu(j) [x^k] A^(jm), 1 <= m <= k <= max_size:
+    a(k, 1) = [x^k] M(A) = [k = 1], and a(k, m) >= 1 for 2 <= m <= k."""
+    mu = mobius_upto(max_size)
+    powers = [None, A_series(max_size)]  # powers[N] = A^N
+    while len(powers) <= max_size:
+        powers.append(mul(powers[-1], powers[1], max_size))
+    entries = {(1, 1): 1}
+    for k in range(2, max_size + 1):
+        for m in range(2, k + 1):
+            entries[k, m] = sum(mu[j] * powers[j * m][k] for j in range(1, k // m + 1))
+    return entries
 
 
 def _vec_add(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
@@ -224,28 +243,26 @@ def _vec_scale(u: dict[int, int], c: int) -> dict[int, int]:
     return {l: c * v for l, v in u.items()}
 
 
-def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
-    """a[(k, m)] = a(k, m) over a coefficient ring for 1 <= m <= k <=
-    max_size, where nonzero (a(k, 1) = 0 for k >= 2 is left out).
+def _fill(max_size: int, lift) -> dict:
+    """a[(k, m)] = the count vector of the systems of size k and gcd m, for
+    1 <= m <= k <= max_size where nonzero (a(k, 1) = 0 for k >= 2 is left
+    out), over count vectors keyed by lcm value or by period, which
+    multiply by lcm-convolution.
 
-    The ring is given by its unit (the count of the trivial system), add
-    and mul, and scale(v, c) by an integer c.  lift(sums, k, n) turns the
-    Mobius sums into the count of systems of size k with gcd n, where
-    sums[K, d] = C_d(K) = sum_e mu(e) [x^K] W_e^d is filled for every
-    2 <= d <= K <= k, and sums[1, 1] = C_1(1) is the unit (C_1(K) = 0 for
-    K >= 2 is left out).  No zero element is needed: W_e has nonzero
-    coefficients from degree e on, so every sum taken here has a first term.
+    lift(sums, k, n) turns the Mobius sums into the count of systems of
+    size k with gcd n, where sums[K, d] = C_d(K) = sum_e mu(e) [x^K] W_e^d
+    is filled for every 2 <= d <= K <= k, and sums[1, 1] = C_1(1) is the
+    unit {1: 1}, the trivial system (C_1(K) = 0 for K >= 2 is left out).
+    No zero element is needed: W_e has nonzero coefficients from degree e
+    on, so every sum taken here has a first term.
     """
+    if max_size < 1:
+        raise ValueError("need max_size >= 1")
     mu = mobius_upto(max_size)
     es = [e for e in range(1, max_size + 1) if mu[e]]
-    # w[e][j] = [x^j] W_e; pw[e][n][j] = [x^j] W_e^n, and pw[e][1] is w[e]
-    w = {e: [None] * (max_size + 1) for e in es}
-    pw = {
-        e: [None, w[e]] + [[None] * (max_size + 1) for _ in range(2, max_size // e + 1)]
-        for e in es
-    }
-    sums = {(1, 1): one}
-    a = {(1, 1): one}
+    pw = {}  # pw[e, n, j] = [x^j] W_e^n
+    sums = {(1, 1): {1: 1}}
+    a = {(1, 1): {1: 1}}
     for k in range(1, max_size + 1):
         for n in range(2, k + 1):
             terms = []
@@ -253,24 +270,22 @@ def _fill(max_size: int, one, add, mul, scale, lift) -> dict:
                 if n * e > k:
                     break
                 # W_e starts at degree e, W_e^(n-1) at degree (n-1)e
-                we, prev = w[e], pw[e][n - 1]
-                products = [mul(we[i], prev[k - i]) for i in range(e, k - (n - 1) * e + 1)]
-                pw[e][n][k] = coeff = reduce(add, products)
-                terms.append(scale(coeff, mu[e]))
-            sums[k, n] = reduce(add, terms)
+                top = k - (n - 1) * e
+                products = [_lcm_mul(pw[e, 1, i], pw[e, n - 1, k - i]) for i in range(e, top + 1)]
+                pw[e, n, k] = coeff = reduce(_vec_add, products)
+                terms.append(_vec_scale(coeff, mu[e]))
+            sums[k, n] = reduce(_vec_add, terms)
             a[k, n] = lift(sums, k, n)
         for e in es:
             if e > k:
                 break
-            w[e][k] = reduce(add, [a[k, m] for m in range(e, k + 1, e) if (k, m) in a])
+            pw[e, 1, k] = reduce(_vec_add, [a[k, m] for m in range(e, k + 1, e) if (k, m) in a])
     return a
 
 
 def distinct_lcm_values(k: int) -> set[int]:
     """The lcm values attained by natural exact covering systems of size k:
     the support of row k of count_size_gcd_lcm(k)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
     return {l for (size, _, l) in count_size_gcd_lcm(k).entries if size == k}
 
 
@@ -301,15 +316,14 @@ def _load_cache(path: str) -> CountTable | None:
         entries = {(int(k), int(m)): int(v) for k, m, v in data["counts"]}
     except (KeyError, TypeError, ValueError):
         raise ValueError(f"malformed count cache {path}") from None
-    # each row of a valid table is nonempty, so max_size <= len(entries),
-    # which keeps the A_series check below proportional to the file
-    if not 1 <= max_size <= len(entries) or any(not 1 <= m <= k <= max_size for k, m in entries):
-        raise ValueError(f"count cache {path} has entries outside 1 <= m <= k <= {max_size}")
-    table = CountTable(max_size, entries)
-    a = A_series(max_size)
-    if any(table.row_sum(k) != a[k] for k in range(1, max_size + 1)):
-        raise ValueError(f"count cache {path} disagrees with the reversion of the Mobius series")
-    return table
+    # a valid table holds exactly the keys (1, 1) and 2 <= m <= k <= max_size,
+    # which keeps the recompute below proportional to the file
+    sized = max_size >= 1 and len(entries) == 1 + max_size * (max_size - 1) // 2
+    if not sized or any(not (k == m == 1 or 2 <= m <= k <= max_size) for k, m in entries):
+        raise ValueError(f"count cache {path} does not hold the keys of a table up to size {max_size}")
+    if entries != _size_gcd_entries(max_size):
+        raise ValueError(f"count cache {path} disagrees with the counts from the powers of A")
+    return CountTable(max_size, entries)
 
 
 def _save_cache(path: str, table: CountTable) -> None:

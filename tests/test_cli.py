@@ -18,6 +18,7 @@ import pytest
 from necs import asymptotics as asym
 from necs import cli
 from necs import congruence as cg
+from necs import counting as ct
 
 from helpers import (
     ERDOS_COVER,
@@ -113,6 +114,8 @@ class TestCountCommand:
             lambda d: d["counts"].append([7, 2, "0"]),  # size above max_size
             lambda d: d.__setitem__("max_size", 7),  # a row missing
             lambda d: d.__setitem__("counts", [[1, 1]]),  # not a [k, m, count] triple
+            # a(5, 2) = 22 and a(5, 3) = 12 moved by 5 each way: every row sum kept
+            lambda d: d["counts"].__setitem__(slice(7, 9), [[5, 2, "27"], [5, 3, "7"]]),
         ],
     )
     def test_edited_cache_is_a_usage_error(self, capsys, tmp_path, edit):
@@ -424,6 +427,21 @@ class TestVerify:
         lines = out.splitlines()
         assert all(line.startswith("PASS") for line in lines)
         assert len(lines) == 6
+
+    def test_recurrence_disagreeing_with_reversion_fails(self, capsys, monkeypatch):
+        real = ct.count_size_gcd_lcm
+
+        def one_wrong(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table.entries[5, 2, ct.OVERFLOW] += 1
+            return table
+
+        monkeypatch.setattr(ct, "count_size_gcd_lcm", one_wrong)
+        code, out = run_cli(capsys, "verify", "--order", "16")
+        assert code == 1
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL dp-vs-reversion"
+        ]
 
 
 class TestUsage:

@@ -53,6 +53,12 @@ class TestSizeGcd:
             want = {km: v for km, v in count_size_gcd_rows(k).items() if v}
             assert ct.count_size_gcd(k).entries == want, k
 
+    def test_columns_match_composition(self):
+        # column m of the powers table against A_m = M(A^m) by composition
+        table = ct.count_size_gcd(40)
+        for m in range(1, 7):
+            assert [table.get(k, m) for k in range(41)] == list(se.Am_series(m, 40).coeffs), m
+
     def test_known_entries(self, table13):
         assert table13.get(5, 2) == 22
         assert table13.get(7, 3) == 207
@@ -134,11 +140,13 @@ class TestSizeGcdLcm:
             assert l % m == 0
 
     def test_marginal_matches_gcd_table(self, table13):
-        t = ct.count_size_gcd_lcm(10)
-        marg = t.marginal()
-        for k in range(1, 11):
-            for m in range(1, k + 1):
-                assert marg.get(k, m) == table13.get(k, m)
+        # the recurrence against the powers of A; with lcm_max=1 every lcm
+        # above 1 shares one bucket, which keeps the recurrence fast at 40
+        for size, lcm_max, table in [(10, None, table13), (40, 1, ct.count_size_gcd(40))]:
+            marg = ct.count_size_gcd_lcm(size, lcm_max).marginal()
+            for k in range(1, size + 1):
+                for m in range(1, k + 1):
+                    assert marg.get(k, m) == table.get(k, m), (k, m)
 
     def test_overflow_bucket(self):
         t = ct.count_size_gcd_lcm(7, lcm_max=12)
