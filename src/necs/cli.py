@@ -15,6 +15,7 @@ cover; `check` uses 4 the same way; `enumerate --ecs` uses 5 when its
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -127,11 +128,28 @@ def _emit_enumerate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's limit on int <-> str conversion (4,300 digits by
+    default, where the interpreter has one) inside the block, and restore it
+    on the way out."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _read_system(path: str, as_json: bool) -> cg.CoveringSystem:
     text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    if as_json or path.endswith(".json"):
-        return cg.parse_system_json(text)
-    return cg.parse_system_text(text)
+    # a split chain of about 14,300 levels has a modulus past the digit limit
+    with _unlimited_int_digits():
+        if as_json or path.endswith(".json"):
+            return cg.parse_system_json(text)
+        return cg.parse_system_text(text)
 
 
 def _emit_recognize(args) -> int:
@@ -156,29 +174,24 @@ def _emit_check(args) -> int:
     except cg.NotExactCoverError:
         exact = False
     verdict = "exact" if exact else "not exact"
-    print(
-        f"{verdict}: size {cg.size_of(system)}, gcd {cg.gcd_of(system)}, lcm {cg.lcm_of(system)}"
-    )
+    with _unlimited_int_digits():
+        print(
+            f"{verdict}: size {cg.size_of(system)}, gcd {cg.gcd_of(system)}, lcm {cg.lcm_of(system)}"
+        )
     return 0 if exact else 4
 
 
 def _fixed_json(x: asym.FixedReal) -> dict:
     # exact error bounds pass CPython's int-to-str digit limit from about
-    # --digits 400, so the limit is lifted for this call where there is one
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        err = x.error_bound
+    # --digits 400
+    err = x.error_bound
+    with _unlimited_int_digits():
         return {
             "mantissa": str(x.mantissa),
             "scale": x.scale,
             "error_bound": f"{err.numerator}/{err.denominator}",
             "decimal": x.decimal(),
         }
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
 
 
 def _emit_asympt(args) -> int:

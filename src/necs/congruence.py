@@ -13,10 +13,15 @@ disjointness, covering is equivalent to the densities 1/n summing to
 exactly 1, tested in exact rational arithmetic.
 
 The inverse of expansion is contraction: a system whose moduli share a
-divisor n splits into n pieces, one per offset residue mod n, each exact
-iff the system is.  Recursive contraction by the smallest prime of each
-piece's gcd recognizes naturality and certifies exactness at once; only a
-piece of gcd 1 needs the pairwise is_exact, to tell the two verdicts apart.
+divisor n splits into n pieces, one per offset residue mod n, and the
+system is exact iff every piece is.  Recursive contraction by the smallest
+prime of each piece's gcd recognizes naturality and certifies exactness at
+once.  Only a piece of gcd 1 needs the pairwise test, and only on its own
+classes.  A level whose p - 1 classes of modulus p are leaves is peeled
+in place: the rest of the piece is read through a frame (step, base) in
+place of being rewritten, so a level of a split chain costs O(p)
+big-integer operations, not one per class of the piece (see
+naturality_witness for why the frames need no check at the peel).
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain, islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
@@ -90,7 +95,7 @@ class CoveringSystem:
             raise ValueError("a covering system needs at least one class")
         if len(set(cs)) != len(cs):
             a = next(a for a, b in zip(cs, cs[1:]) if a == b)
-            raise ValueError(f"duplicate class {a}")
+            raise ValueError(f"duplicate class {_clipped_repr(a)}")
         object.__setattr__(self, "classes", cs)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
@@ -151,9 +156,14 @@ def is_exact(c: CoveringSystem) -> bool:
     exactly 1 in exact rationals; disjoint classes of total density 1
     necessarily cover.
     """
-    # slices of a list, not of the tuple: short tuple slices pile up in
+    return _pairs_exact(c.classes)
+
+
+def _pairs_exact(pairs: Iterable[tuple[int, int]]) -> bool:
+    """is_exact on (modulus, offset) pairs."""
+    # slices of a list, not of a tuple: short tuple slices pile up in
     # CPython's tuple free lists until a full garbage collection
-    cs = list(c.classes)
+    cs = list(pairs)
     for i, (n, a) in enumerate(cs):
         for m, b in cs[i + 1 :]:
             # ResidueClass.intersects, inlined: a method call per pair
@@ -237,42 +247,116 @@ def is_natural(c: CoveringSystem) -> bool:
 
     Raises NotExactCoverError on input that is not exact.  With p the
     smallest prime of the gcd, c is natural iff all p contraction pieces
-    are; the contraction certifies exactness, and is_exact runs only at a
-    piece of gcd 1 (see naturality_witness).
+    are; the contraction certifies exactness, and the pairwise test runs
+    only on a piece of gcd 1, that piece alone (see naturality_witness).
     """
     return naturality_witness(c) is not None
+
+
+_LEAF_PIECE = [(1, 0)]
 
 
 def naturality_witness(c: CoveringSystem):
     """Split tree certifying naturality, or None if c is exact but not natural.
 
     The witness is a Tree (see necs.trees) whose leaf labels reproduce c:
-    internal nodes record the contraction modulus chosen at each level,
-    and the leaves <0,1> certify that c is exact.  A piece of fewer classes
-    than its gcd, or an empty contraction bucket, raises NotExactCoverError;
-    is_exact runs only at a piece of gcd 1, to tell c exact (None) or not.
-    Iterative ((modulus, offset) pieces wait on a stack), so any depth works.
+    internal nodes record the contraction modulus chosen at each level
+    (the smallest prime p of the piece's gcd), and the leaves <0,1>
+    certify that c is exact.  A piece of fewer classes than its gcd, or
+    an empty contraction bucket, raises NotExactCoverError.  A piece of
+    gcd 1 runs the pairwise test on its own classes, since c is exact iff
+    every piece is: a failing piece raises, a passing one marks c not
+    natural, and None comes only once every piece has passed.
+
+    Peel rule.  Pieces are (modulus, offset) lists sorted by modulus
+    (contraction buckets keep the order).  If a piece of gcd p starts with
+    p - 1 classes of modulus p, these are distinct, so they are p - 1 leaves
+    of the contraction by p, and if the piece is exact every other class
+    lies in the one residue r they leave free.  The piece is then not
+    rewritten: it goes on as the rest of the same list in a frame (step,
+    base), where a pair (m, a) stands for <(a - base) / step, m / step>, so
+    a level of a split chain costs O(p).  No class of the rest is checked
+    at the peel.  Frames nest, so a class outside the residue of some level
+    lies inside a leaf of that level (c is not exact) and outside every
+    later frame: it is caught where it is next read in a frame, as a
+    peeled leaf, as the last class of the list (which must be <base, step>),
+    or when the rest is rewritten, by a nonzero remainder.  The gcd of the
+    rest comes from suffix gcds of the list, built once a list peels twice
+    in a row.  Iterative, so any depth works.
     """
     from . import trees  # local import; trees depends on this module
 
     arities = []  # preorder: 0 for a leaf, else the contraction modulus
     todo = [list(c.classes)]
+    natural = True
     while todo:
         piece = todo.pop()
-        if piece == [(1, 0)]:
+        k = len(piece)
+        if k == 1:
+            # a lone class of modulus n > 1 has density 1/n
+            if piece[0] != (1, 0):
+                raise NotExactCoverError("input does not partition the integers")
             arities.append(0)
             continue
+        # the piece is piece[i:] in the frame (step, base); k classes
+        i, step, base, suffix_gcds = 0, 1, 0, None
         # reduce, not gcd(*...): an argument tuple per piece would pile up
         # in CPython's tuple free lists until a full garbage collection
         g = reduce(gcd, map(itemgetter(0), piece))
-        # g divides each modulus, so the density is at most len(piece) / g
-        if len(piece) < g or g == 1 and not is_exact(c):
-            raise NotExactCoverError("input does not partition the integers")
+        while True:
+            # g divides each modulus, so the density is at most k / g
+            if k < g:
+                raise NotExactCoverError("input does not partition the integers")
+            if g == 1:
+                break
+            p = prime_factors(g)[0]
+            cut = step * p
+            if piece[i + p - 2][0] != cut:
+                break
+            free = p * (p - 1) // 2  # the residue the p - 1 leaves leave free
+            for j in range(i, i + p - 1):
+                q, rem = divmod(piece[j][1] - base, step)
+                if rem:
+                    raise NotExactCoverError("input does not partition the integers")
+                free -= q
+            arities.append(p)
+            arities += [0] * free
+            todo += [_LEAF_PIECE] * (p - 1 - free)  # residues past free, after its subtree
+            i += p - 1
+            k -= p - 1
+            base += step * free
+            if k == 1:
+                if piece[i] != (cut, base):
+                    raise NotExactCoverError("input does not partition the integers")
+                arities.append(0)
+                break
+            if step == 1:
+                g = reduce(gcd, map(itemgetter(0), islice(piece, i, None))) // cut
+            else:
+                if suffix_gcds is None:
+                    suffix_gcds = list(accumulate(map(itemgetter(0), reversed(piece)), gcd))
+                    suffix_gcds.reverse()
+                g = suffix_gcds[i] // cut
+            step = cut
+        if k == 1:
+            continue
+        if step > 1:  # rewrite the rest in its frame
+            rest = []
+            for m, a in islice(piece, i, None):
+                q, rem = divmod(a - base, step)
+                if rem:
+                    raise NotExactCoverError("input does not partition the integers")
+                rest.append((m // step, q))
+            piece = rest
         if g == 1:
-            return None
-        p = prime_factors(g)[0]
-        arities.append(p)
-        todo.extend(reversed(_contract_pairs(piece, p)))
+            if not _pairs_exact(piece):
+                raise NotExactCoverError("input does not partition the integers")
+            natural = False
+        else:
+            arities.append(p)
+            todo.extend(reversed(_contract_pairs(piece, p)))
+    if not natural:
+        return None
     built: list = []  # finished subtrees; the first child on top
     for p in reversed(arities):
         if p == 0:
@@ -350,13 +434,15 @@ def parse_system_text(text: str) -> CoveringSystem:
             continue
         parts = line.split()
         if len(parts) != 3 or parts[1] != "mod":
-            raise ValueError(f"line {lineno}: expected 'a mod n', got {raw!r}")
+            raise ValueError(f"line {lineno}: expected 'a mod n', got {_clipped_repr(raw)}")
         try:
             a, n = int(parts[0]), int(parts[2])
         except ValueError:
-            raise ValueError(f"line {lineno}: non-integer field in {raw!r}") from None
+            raise ValueError(f"line {lineno}: non-integer field in {_clipped_repr(raw)}") from None
         if n < 1 or not 0 <= a < n:
-            raise ValueError(f"line {lineno}: need 0 <= a < n, got a={a}, n={n}")
+            raise ValueError(
+                f"line {lineno}: need 0 <= a < n, got a={_clipped_repr(a)}, n={_clipped_repr(n)}"
+            )
         classes.append(ResidueClass(n, a))
     if not classes:
         raise ValueError("no residue classes found")

@@ -114,6 +114,46 @@ def brute_force_exact(pairs, window=None) -> bool:
     return True
 
 
+def naturality_witness_contracting(c):
+    """Reference congruence.naturality_witness: contract every piece by the
+    smallest prime of its gcd, rewriting each of its classes at every level
+    (O(k * depth) on a split chain), and at the first piece of gcd 1 run
+    is_exact on the whole system: None if it is exact, NotExactCoverError
+    if not."""
+    arities = []  # preorder: 0 for a leaf, else the contraction modulus
+    todo = [list(c.classes)]
+    while todo:
+        piece = todo.pop()
+        if piece == [(1, 0)]:
+            arities.append(0)
+            continue
+        g = 0
+        for m, _ in piece:
+            g = gcd(g, m)
+        # g divides each modulus, so the density is at most len(piece) / g
+        if len(piece) < g or g == 1 and not cg.is_exact(c):
+            raise cg.NotExactCoverError("input does not partition the integers")
+        if g == 1:
+            return None
+        p = se.prime_factors(g)[0]
+        arities.append(p)
+        buckets = [[] for _ in range(p)]
+        for m, a in piece:
+            buckets[a % p].append((m // p, a // p))
+        if not all(buckets):
+            raise cg.NotExactCoverError("some offset residue mod p is empty")
+        todo.extend(reversed(buckets))
+    built = []  # finished subtrees; the first child on top
+    for p in reversed(arities):
+        if p == 0:
+            built.append(tr.LEAF)
+        else:
+            kids = tuple(reversed(built[-p:]))
+            del built[-p:]
+            built.append(tr.Tree(kids))
+    return built[0]
+
+
 def shift_class_counts_stream(k):
     """Reference s(k, m) for every gcd m, as {m: count}: stream every
     natural system of size k and count those that are their own least

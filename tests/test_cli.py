@@ -253,6 +253,52 @@ class TestRecognizeAndCheck:
             assert code == 4
             assert out == "not an exact covering system\n"
 
+    @staticmethod
+    def chain(arity, depth):
+        # split the last class into `arity` classes, `depth` times
+        pairs = [(0, 1)]
+        for _ in range(depth):
+            a, n = pairs.pop()
+            pairs += [(a + j * n, arity * n) for j in range(arity)]
+        return pairs
+
+    @pytest.mark.parametrize("arity, depth", [(2, 4999), (3, 1500)])
+    def test_deeper_chains(self, capsys, tmp_path, arity, depth):
+        # 5,000 and 3,001 classes: one level of the witness costs O(arity),
+        # not O(classes), so these take well under a second
+        pairs = self.chain(arity, depth)
+        path = self.write(tmp_path, pairs)
+        code, out = run_cli(capsys, "recognize", path)
+        assert code == 0
+        witness = out.split("witness split tree: ")[1]
+        assert witness.count("()") == len(pairs) == (arity - 1) * depth + 1
+        assert witness.startswith(f"({arity} ()" + " ()" * (arity - 2) + f" ({arity} ")
+        code, out = run_cli(capsys, "check", path)
+        assert (code, out) == (0, f"exact: size {len(pairs)}, gcd {arity}, lcm {arity**depth}\n")
+
+    def test_primitive_cover_under_a_deep_chain(self, capsys, tmp_path):
+        pairs = self.chain(2, 2000)
+        a, n = pairs.pop()
+        pairs += [(a + n * b, n * m) for b, m in NON_NATURAL_13]
+        path = self.write(tmp_path, pairs)
+        assert run_cli(capsys, "recognize", path) == (3, "exact but not natural\n")
+        code, out = run_cli(capsys, "check", path)
+        assert (code, out) == (0, f"exact: size 2013, gcd 2, lcm {15 * 2**2001}\n")
+
+    def test_deep_class_moved_into_the_residue_above(self, capsys, tmp_path):
+        # the deepest classes are <2^(d-1) - 1, 2^d> and <2^d - 1, 2^d>; the
+        # second moves to 3 * 2^(d-2) - 1, inside <2^(d-2) - 1, 2^(d-1)>, the
+        # leaf one level up, and still sorts last, so that only the check of
+        # the last class of the chain sees it
+        d = 2000
+        pairs = self.chain(2, d)
+        assert pairs[-1] == (2**d - 1, 2**d) and pairs[-3] == (2 ** (d - 2) - 1, 2 ** (d - 1))
+        pairs[-1] = (3 * 2 ** (d - 2) - 1, 2**d)
+        path = self.write(tmp_path, pairs)
+        assert run_cli(capsys, "recognize", path) == (4, "not an exact covering system\n")
+        code, out = run_cli(capsys, "check", path)
+        assert code == 4 and out.startswith("not exact: size 2001, gcd 2, lcm ")
+
     @pytest.mark.parametrize("pairs", HUGE_MODULUS_NOT_EXACT)
     def test_huge_modulus_not_exact(self, capsys, tmp_path, pairs):
         code, out = run_cli(capsys, "recognize", self.write(tmp_path, pairs))
@@ -289,6 +335,52 @@ class TestRecognizeAndCheck:
                 assert code == 2
                 assert captured.out == ""
                 assert len(captured.err.splitlines()) == 1
+
+    def test_integers_past_the_digit_limit(self, capsys, tmp_path):
+        # one class <0, 10^4400>: its modulus has 4,401 digits, past CPython's
+        # default limit of 4,300 for int <-> str conversion
+        digits = "1" + "0" * 4400
+        text = tmp_path / "big.txt"
+        text.write_text(f"0 mod {digits}\n")
+        blob = tmp_path / "big.json"
+        blob.write_text(f"[[0, {digits}]]")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        for path in (text, blob):
+            code, out = run_cli(capsys, "recognize", str(path))
+            assert (code, out) == (4, "not an exact covering system\n")
+            code, out = run_cli(capsys, "check", str(path))
+            assert (code, out) == (4, f"not exact: size 1, gcd {digits}, lcm {digits}\n")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+    def test_bad_lines_are_echoed_short(self, capsys, tmp_path):
+        short = tmp_path / "short.txt"
+        short.write_text("1e3 mod 7\n")
+        huge = "1" + "0" * 4400
+        long = tmp_path / "long.txt"
+        long.write_text(f"0 mod {huge}x\n")
+        # integers that parse now that the digit limit is lifted, in messages
+        # that quote them: an offset past its modulus, and a duplicate class
+        past = tmp_path / "past.txt"
+        past.write_text(f"{huge} mod 7\n")
+        twice = tmp_path / "twice.txt"
+        twice.write_text(f"0 mod {huge}\n0 mod {huge}\n")
+        for command in ("recognize", "check"):
+            assert cli.run([command, str(short)]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == (
+                "", f"{command}: line 1: non-integer field in '1e3 mod 7'\n"
+            )
+            for path, start in (
+                (long, "line 1: non-integer field in '0 mod 1000"),
+                (past, "line 1: need 0 <= a < n, got a=1000"),
+                (twice, "duplicate class <0,1000"),
+            ):
+                assert cli.run([command, str(path)]) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(f"{command}: {start}")
+                assert "..." in captured.err and len(captured.err) < 160
+                assert captured.err.count("\n") == 1
 
     def test_check_deep_binary_chain(self, capsys, tmp_path):
         pairs = self.binary_chain()
@@ -534,7 +626,8 @@ class TestRecognizeMemory:
         # until a full collection empties them (on 3.11 and 3.12 a
         # 20-item tuple goes on its list and is never taken off again).
         nat = natural_system(1, 290)
-        # exact but not natural, so that is_exact runs once per command
+        # exact but not natural, so that the pairwise exactness test runs
+        # once per command, on the gcd-1 piece
         not_natural = []
         for seed in range(8):
             c = sys_of(NON_NATURAL_13)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from necs import congruence as cg
 from necs import enumeration as en
+from necs import trees as tr
 
 from helpers import (
     ERDOS_COVER,
@@ -19,6 +20,7 @@ from helpers import (
     TABLE1,
     brute_force_exact,
     canonical_shift_scan,
+    naturality_witness_contracting,
     slow,
     sys_of,
 )
@@ -353,6 +355,109 @@ class TestNaturality:
         assert reachable == enumerated
         for s in reachable:
             assert cg.is_natural(s)
+
+
+def _split_tree(rng, size):
+    """(offset, modulus) pairs of a random split tree with `size` leaves,
+    prime and composite arities."""
+    pairs = [(0, 1)]
+    while len(pairs) < size:
+        r = min(rng.choice((2, 2, 3, 4, 5, 6, 7, 8, 9)), size - len(pairs) + 1)
+        a, n = pairs.pop(rng.randrange(len(pairs)))
+        pairs += [(a + j * n, r * n) for j in range(r)]
+    return pairs
+
+
+def _split_chain(rng, depth, arities):
+    """(offset, modulus) pairs of a split chain: each of `depth` levels
+    splits the one class that the level above left, with an arity drawn
+    from `arities`, and goes on in a random child."""
+    pairs = []
+    a, n = 0, 1
+    for _ in range(depth):
+        r = rng.choice(arities)
+        kids = [(a + j * n, r * n) for j in range(r)]
+        a, n = kids.pop(rng.randrange(r))
+        pairs += kids
+    return pairs + [(a, n)]
+
+
+def _broken(rng, pairs, how):
+    """pairs with one class dropped, moved to a residue of its modulus that
+    no class uses, or doubled in modulus; None where that is not possible."""
+    pairs = list(pairs)
+    i = rng.randrange(len(pairs))
+    a, n = pairs.pop(i)
+    used = set(pairs)
+    if how == "move":
+        # a deep chain's modulus has far more residues than a test needs
+        free = [b for b in range(min(n, 4096)) if b != a and (b, n) not in used]
+        if not free:
+            return None
+        pairs.insert(i, (rng.choice(free), n))
+    elif how == "double":
+        if (a, 2 * n) in used:
+            return None
+        pairs.insert(i, (a, 2 * n))
+    return pairs or None
+
+
+def witness_cases(seed, count):
+    """`count` seeded systems: split trees, binary, ternary and mixed chains,
+    and NON_NATURAL_13 in place of a class of a chain, each kept or broken."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        family = rng.randrange(5)
+        if family == 0:
+            pairs = _split_tree(rng, rng.randint(1, 60))
+        elif family == 1:
+            pairs = _split_chain(rng, rng.randint(0, 40), (2,))
+        elif family == 2:
+            pairs = _split_chain(rng, rng.randint(0, 30), (3,))
+        elif family == 3:
+            pairs = _split_chain(rng, rng.randint(0, 30), (2, 3, 4, 5, 6))
+        else:
+            pairs = _split_chain(rng, rng.randint(0, 30), (2, 3, 5))
+            a, n = pairs.pop(rng.randrange(len(pairs)))
+            pairs += [(a + n * b, n * m) for b, m in NON_NATURAL_13]
+        how = rng.choice(("keep", "keep", "drop", "move", "double"))
+        if how != "keep":
+            pairs = _broken(rng, pairs, how)
+        if pairs is not None:
+            out.append(sys_of(pairs))
+    return out
+
+
+def witness_verdict(witness, c):
+    """The printed tree, None (exact, not natural) or "not exact"."""
+    try:
+        tree = witness(c)
+    except cg.NotExactCoverError:
+        return "not exact"
+    return None if tree is None else tr.format_tree(tree)
+
+
+class TestWitnessOracle:
+    """naturality_witness against the contracting reference, which rewrites
+    every class at every level and tests exactness on the whole system."""
+
+    @staticmethod
+    def agree(seed, count):
+        seen = set()
+        for c in witness_cases(seed, count):
+            want = witness_verdict(naturality_witness_contracting, c)
+            assert witness_verdict(cg.naturality_witness, c) == want, c
+            seen.add(want if want in (None, "not exact") else "natural")
+        assert seen == {None, "not exact", "natural"}
+
+    def test_agrees_with_reference(self):
+        self.agree(19, 600)
+
+    @slow
+    def test_agrees_with_reference_slow(self):
+        for seed in range(20, 30):
+            self.agree(seed, 2000)
 
 
 class TestShift:
