@@ -58,7 +58,11 @@ least offset of modulus n is t.  enumerate_ecs emits those translates,
 and count_ecs adds n - b(R) over the rooted covers.
 
 Internally systems travel as flat sorted tuples of (modulus, offset)
-pairs; CoveringSystem objects are built only at the public boundary.
+pairs; CoveringSystem objects are built only at the public boundary, one
+per system, by one builder per stream (_to_systems).  The builder keeps
+a memo of ResidueClass for as long as its generator lives, so the
+systems of one stream share one validated class object per distinct
+(modulus, offset) pair; nothing is shared between streams.
 """
 
 from __future__ import annotations
@@ -84,8 +88,16 @@ class SearchBudgetExceeded(RuntimeError):
     """The backtracking search ran out of its configured time budget."""
 
 
-def _to_system(flat: Flat) -> CoveringSystem:
-    return CoveringSystem(starmap(ResidueClass, flat))
+def _to_systems(flats: Iterable[Flat]) -> Iterator[CoveringSystem]:
+    """One CoveringSystem per flat tuple.  The classes come from a memo of
+    ResidueClass that lives as long as this generator, so each distinct
+    (modulus, offset) pair is validated once per stream (3,920 classes
+    fill the 657,570 class slots of the 65,757 systems of size 10), and
+    equal classes of one stream are one object; CoveringSystem still sorts
+    each system and checks it for duplicates."""
+    make = cache(ResidueClass)
+    for flat in flats:
+        yield CoveringSystem(starmap(make, flat))
 
 
 def _expand(piece: Flat, idx: int, n: int) -> Flat:
@@ -146,14 +158,14 @@ def enumerate_necs(
     emitted in canonical lexicographic order; ordered=False streams in a
     deterministic order (compositions, then gcd tuples, then the pieces,
     the first piece varying slowest), holding only the piece lists of
-    sizes up to _MEMO_MAX_SIZE, whatever k is.
+    sizes up to _MEMO_MAX_SIZE, whatever k is, and one class object per
+    distinct class emitted (see _to_systems).
     """
     _check_size_gcd(k, m)
     flats: Iterable[Flat] = _necs_stream(k, m)
     if ordered:
         flats = sorted(flats)
-    for flat in flats:
-        yield _to_system(flat)
+    yield from _to_systems(flats)
 
 
 def _least_translates(k: int, m: int | None = None) -> Iterator[Flat]:
@@ -177,8 +189,7 @@ def enumerate_shift_classes(k: int, m: int | None = None) -> Iterator[CoveringSy
     gcd m, if given, streaming only that gcd): the lexicographically least
     translate, emitted in canonical lexicographic order."""
     _check_size_gcd(k, m)
-    for flat in sorted(_least_translates(k, m)):
-        yield _to_system(flat)
+    yield from _to_systems(sorted(_least_translates(k, m)))
 
 
 # --- general exact covering systems (backtracking search) --------------------
@@ -677,16 +688,17 @@ def enumerate_ecs(
     the point with the fewest classes that can still cover it, and emit
     the translates of each rooted cover (see count_ecs).  With
     ordered=True the stream is materialized and emitted in canonical
-    lexicographic order; ordered=False streams multiset by multiset with
-    O(k) memory.  May raise SearchBudgetExceeded when a time budget is
-    configured; its message gives the search nodes visited and the
-    solutions found by then, and the nodes and multisets of phase one.
+    lexicographic order; ordered=False streams multiset by multiset,
+    holding O(k) search state plus one class object per distinct class
+    emitted so far (see _to_systems).  May raise SearchBudgetExceeded
+    when a time budget is configured; its message gives the search nodes
+    visited and the solutions found by then, and the nodes and multisets
+    of phase one.
     """
     flats: Iterable[Flat] = _ecs_stream(k, config or EcsSearchConfig())
     if ordered:
         flats = sorted(flats)
-    for flat in flats:
-        yield _to_system(flat)
+    yield from _to_systems(flats)
 
 
 def count_ecs(k: int, config: EcsSearchConfig | None = None) -> int:

@@ -8,7 +8,11 @@ trees onto natural systems is a surjection that sends leaf count to
 system size.  Trees with k leaves are counted by the Schroder numbers.
 enumerate_trees lists them with a memo: the trees with fewer than
 _MEMO_MAX_SIZE (9) leaves are built once per call and shared as
-subtrees; larger child lists are streamed afresh, never held.
+subtrees; larger child lists are streamed afresh, never held.  Each
+memo tree also stores its text, formatted once when its list is built,
+so format_tree copies the text of a shared subtree in place of walking
+it; the texts live as long as the trees that hold them.  Trees built
+any other way (parse_tree, callers) store nothing.
 
 Serialization is nested parentheses with explicit up-degrees: a leaf is
 "()" and an internal vertex with children c1..cr is "(r c1 ... cr)".
@@ -16,7 +20,7 @@ Serialization is nested parentheses with explicit up-degrees: a leaf is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import product
 from typing import Iterator
@@ -29,10 +33,12 @@ class Tree:
     """Ordered tree; children is empty (a leaf) or has length >= 2.
 
     Equality and hashing go through format_tree, which is iterative, so
-    trees of any depth compare and hash.
+    trees of any depth compare and hash.  text is the tree's format_tree
+    text where enumerate_trees has stored it (its memo trees), else None.
     """
 
     children: tuple["Tree", ...] = ()
+    text: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.children) == 1:
@@ -171,11 +177,21 @@ def enumerate_trees(k: int) -> Iterator[Tree]:
     with fewer than _MEMO_MAX_SIZE leaves are built once per call and
     their trees shared as subtrees, so every child list of a tree with at
     most _MEMO_MAX_SIZE leaves comes from that memo; larger child lists
-    are streamed afresh.
+    are streamed afresh.  Each memo tree of two or more leaves stores its
+    text (Tree.text) when its list is built; the trees yielded here store
+    none themselves.
     """
     if k < 1:
         raise ValueError("need k >= 1")
-    listed = cache(lambda j: tuple(fresh(j)))
+
+    @cache
+    def listed(j: int) -> tuple[Tree, ...]:
+        trees = tuple(fresh(j))
+        if j > 1:  # (the one-leaf list is the shared LEAF, which stays as it is)
+            for t in trees:
+                # the children are memo trees, whose texts are stored already
+                object.__setattr__(t, "text", format_tree(t))
+        return trees
 
     def fresh(j: int) -> Iterator[Tree]:
         if j == 1:
@@ -194,13 +210,17 @@ def enumerate_trees(k: int) -> Iterator[Tree]:
 
 
 def format_tree(t: Tree) -> str:
-    """The parenthesized format; iterative, so any depth formats."""
+    """The parenthesized format; iterative, so any depth formats.  A
+    subtree that stores its text (see enumerate_trees) is copied, not
+    walked."""
     out = []
     todo: list = [t]  # subtrees not yet visited, and closing text
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
+        elif item.text is not None:
+            out.append(item.text)
         elif item.is_leaf():
             out.append("()")
         else:

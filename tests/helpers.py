@@ -3,7 +3,7 @@
 import os
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import product
+from itertools import product, starmap
 from math import gcd, lcm
 
 import pytest
@@ -455,6 +455,32 @@ def necs_stream_recursive(k, m=None):
                     yield from rec(i + 1, pieces + [piece])
 
             yield from rec(0, [])
+
+
+def system_of_flat(flat):
+    """Reference builder: one CoveringSystem from a flat ((modulus, offset),
+    ...) tuple, every class validated afresh (enumeration's builder shares
+    one validated class per distinct pair of a stream)."""
+    return cg.CoveringSystem(starmap(cg.ResidueClass, flat))
+
+
+def format_tree_walk(t):
+    """Reference tree format: walks every vertex, iteratively, and reads no
+    stored text."""
+    out = []
+    todo = [t]  # subtrees not yet visited, and closing text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.is_leaf():
+            out.append("()")
+        else:
+            out.append(f"({item.up_degree}")
+            todo.append(")")
+            for child in reversed(item.children):
+                todo.extend((child, " "))
+    return "".join(out)
 
 
 def enumerate_trees_recursive(k):

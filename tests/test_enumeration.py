@@ -29,6 +29,7 @@ from helpers import (
     shift_class_counts_stream,
     slow,
     sys_of,
+    system_of_flat,
 )
 
 
@@ -115,6 +116,70 @@ class TestAssemblyOracle:
         got = list(en._necs_stream(11, 2))
         assert len(got) == ct.count_size_gcd(11).get(11, 2)
         assert got == list(necs_stream_recursive(11, 2))
+
+
+class TestBuilderOracle:
+    """The per-stream builder, which validates each distinct class once per
+    stream, against building every class afresh: equal systems in equal
+    order, and no check skipped."""
+
+    def test_natural_streams(self):
+        for k in range(1, 10):
+            for m in (None, *range(1, k + 1)):
+                flats = list(en._necs_stream(k, m))
+                want = [system_of_flat(f) for f in flats]
+                assert list(en.enumerate_necs(k, m, ordered=False)) == want, (k, m)
+                want = [system_of_flat(f) for f in sorted(flats)]
+                assert list(en.enumerate_necs(k, m)) == want, (k, m)
+
+    def test_shift_class_streams(self):
+        for k in range(1, 10):
+            for m in (None, *range(1, k + 1)) if k < 9 else (None,):
+                want = [system_of_flat(f) for f in sorted(en._least_translates(k, m))]
+                assert list(en.enumerate_shift_classes(k, m)) == want, (k, m)
+
+    def test_exact_cover_streams(self):
+        cases = [(k, en.EcsSearchConfig()) for k in range(1, 9)]
+        cases.append((13, en.EcsSearchConfig(gcd=1)))
+        for k, cfg in cases:
+            flats = list(en._ecs_stream(k, cfg))
+            want = [system_of_flat(f) for f in flats]
+            assert list(en.enumerate_ecs(k, cfg, ordered=False)) == want, k
+            want = [system_of_flat(f) for f in sorted(flats)]
+            assert list(en.enumerate_ecs(k, cfg)) == want, k
+
+    def test_equal_classes_of_a_stream_are_one_object(self):
+        streams = (
+            en.enumerate_necs(8),
+            en.enumerate_necs(9, 2, ordered=False),
+            en.enumerate_shift_classes(8),
+            en.enumerate_ecs(7, ordered=False),
+        )
+        for stream in streams:
+            seen = {}
+            classes = 0
+            for s in stream:
+                for c in s:
+                    assert type(c) is cg.ResidueClass
+                    assert seen.setdefault(c, c) is c
+                    classes += 1
+            assert len(seen) < classes
+
+    @pytest.mark.parametrize(
+        "flats",
+        [
+            [((1, 0),), ((2, 2), (2, 1))],  # offset = modulus, after a good system
+            [((2, 0), (2, 1)), ((3, -1),)],  # negative offset
+            [((0, 0),)],  # modulus below 1
+            [((2, 0), (2, 1)), ((2, 0), (2, 0))],  # a repeated class of known classes
+        ],
+    )
+    def test_bad_flat_raises_as_before(self, flats):
+        with pytest.raises(ValueError) as want:
+            [system_of_flat(f) for f in flats]
+        with pytest.raises(ValueError) as got:
+            list(en._to_systems(flats))
+        assert str(got.value) == str(want.value)
 
 
 class TestShiftClasses:

@@ -11,7 +11,14 @@ from necs import congruence as cg
 from necs import series as se
 from necs import trees as tr
 
-from helpers import SCHROEDER, enumerate_trees_recursive, slow, sys_of, tree_count
+from helpers import (
+    SCHROEDER,
+    enumerate_trees_recursive,
+    format_tree_walk,
+    slow,
+    sys_of,
+    tree_count,
+)
 
 # near-valid trees: 0 to 4 children per vertex, and an up-degree that
 # mostly matches the child count
@@ -220,3 +227,56 @@ class TestEnumerationOracle:
     @slow
     def test_ten_leaves(self):
         assert list(tr.enumerate_trees(10)) == list(enumerate_trees_recursive(10))
+
+
+def _formats_like_the_walk(k):
+    count = 0
+    for t in tr.enumerate_trees(k):
+        assert tr.format_tree(t) == format_tree_walk(t)
+        count += 1
+    assert count == SCHROEDER[k]
+
+
+class TestFormatOracle:
+    """format_tree, which copies the text that enumerate_trees stores on its
+    memo trees, against a walk over every vertex."""
+
+    def test_every_tree_up_to_nine_leaves(self):
+        for k in range(1, 10):
+            _formats_like_the_walk(k)
+
+    @slow
+    def test_ten_leaves(self):
+        _formats_like_the_walk(10)
+
+    def test_enumerated_trees_equal_and_hash_like_parsed(self):
+        for k in range(1, 10):
+            for t in tr.enumerate_trees(k):
+                parsed = tr.parse_tree(format_tree_walk(t))
+                assert parsed == t and t == parsed
+                assert hash(parsed) == hash(t)
+
+    def test_only_memo_trees_store_text(self):
+        for t in tr.enumerate_trees(9):
+            assert t.text is None  # a listed tree of the requested size
+            for child in t.children:  # at most 8 leaves: from the memo
+                want = None if child.is_leaf() else format_tree_walk(child)
+                assert child.text == want
+        assert tr.LEAF.text is None
+        todo = [tr.parse_tree(FIGURE_TREE)]
+        while todo:
+            node = todo.pop()
+            assert node.text is None
+            todo.extend(node.children)
+
+    def test_deep_chain_over_a_memo_subtree(self):
+        memo = next(tr.enumerate_trees(9)).children[0]
+        assert memo.text is not None and tr.leaf_count(memo) == 8
+        chain = memo
+        for _ in range(5000):
+            chain = tr.Tree((tr.LEAF, chain))
+        text = format_tree_walk(chain)
+        assert tr.format_tree(chain) == text
+        parsed = tr.parse_tree(text)
+        assert parsed == chain and hash(parsed) == hash(chain)
+        assert tr.leaf_count(chain) == 5008
