@@ -205,13 +205,13 @@ def revert(s: IntSeries, n: int) -> IntSeries:
     products of order n - 1, and then each r_k is one dot product of
     length k, so O(n^2.5) multiplications in all.
     """
+    if n < 1:
+        raise ValueError("need order >= 1")
     _require_order(s, n)
     if s.coeffs[0] != 0:
         raise ValueError("reversion needs zero constant term")
     if s.coeffs[1] not in (1, -1):
         raise ValueError("reversion with integer coefficients needs linear coefficient +-1")
-    if n < 1:
-        raise ValueError("need order >= 1")
 
     m = n - 1  # r_k needs phi^k only through x^(k-1)
     phi = IntSeries(_x_over(s, m))

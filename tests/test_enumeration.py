@@ -30,6 +30,7 @@ from helpers import (
     slow,
     sys_of,
     system_of_flat,
+    _vanishing_sum_multiplicities_ok,
 )
 
 
@@ -357,12 +358,19 @@ class TestEcsSearch:
 
     def test_budget_zero_stops_before_a_huge_multiset(self):
         # the first multiset of size 24 has lcm 2^23, so a single phase-2
-        # node there works on 2^23-bit masks
-        start = time.monotonic()
-        with pytest.raises(en.SearchBudgetExceeded) as info:
-            next(en.enumerate_ecs(24, en.EcsSearchConfig(budget_seconds=0), ordered=False))
-        assert time.monotonic() - start < 5
-        assert "after 0 nodes and 0 solutions" in str(info.value)
+        # node there works on 2^23-bit masks.  Phase one builds its
+        # candidates from Simpson's weight alone, so neither a large size
+        # nor a large modulus bound delays the first deadline check
+        for k, cfg, limit in (
+            (24, en.EcsSearchConfig(budget_seconds=0), 5),
+            (36, en.EcsSearchConfig(budget_seconds=0), 1),
+            (13, en.EcsSearchConfig(gcd=1, max_modulus=10**18, budget_seconds=0), 1),
+        ):
+            start = time.monotonic()
+            with pytest.raises(en.SearchBudgetExceeded) as info:
+                next(en.enumerate_ecs(k, cfg, ordered=False))
+            assert time.monotonic() - start < limit, k
+            assert "after 0 nodes and 0 solutions" in str(info.value)
 
     def test_phase_two_checks_every_1024_nodes(self, monkeypatch):
         # a dry run finds the check at phase-two node 1024 of the k = 10
@@ -562,13 +570,17 @@ class TestRootedCount:
 def _phase_one_matches_oracle(k, m=None, max_modulus=None):
     """Compare the integer phase one with the Fraction reference search on
     the whole multiset stream of gcd m: same tuples, same order, once the
-    oracle's multisets whose lcm breaks Simpson's inequality (weight above
-    k - 1) are filtered out.  Returns the length of the oracle stream and
-    the multisets the filter removed."""
+    integer stream is filtered by the reference's multiplicity rule (each
+    divisibility-maximal modulus occurs a combination of its primes times)
+    and the oracle's multisets whose lcm breaks Simpson's inequality
+    (weight above k - 1) are filtered out.  Returns the length of the
+    oracle stream and the multisets the weight filter removed."""
     max_mod = max_modulus if max_modulus is not None else 1 << (k - 1)
-    got = list(en._modulus_multisets(k, max_mod, m))
+    got = en._modulus_multisets(k, max_modulus, m)
     oracle = list(modulus_multisets_fractions(k, max_mod, m))
-    assert got == [ms for ms in oracle if lcm_weight(ms) < k], (k, m, max_mod)
+    assert [ms for ms in got if _vanishing_sum_multiplicities_ok(ms)] == [
+        ms for ms in oracle if lcm_weight(ms) < k
+    ], (k, m, max_modulus)
     return len(oracle), [ms for ms in oracle if lcm_weight(ms) >= k]
 
 
@@ -588,7 +600,7 @@ class TestPhaseOneOracle:
 
     def test_modulus_bounds(self):
         for k in range(1, 10):
-            for bound in (1, 2, 6, 12, 24, 60):
+            for bound in (None, 1, 2, 6, 12, 24, 60):
                 _phase_one_matches_oracle(k, max_modulus=bound)
 
     def test_every_gcd_and_modulus_bound_up_to_size_8(self):
@@ -604,15 +616,27 @@ class TestPhaseOneOracle:
         assert _phase_one_matches_oracle(13, 1)[0] == 116
 
 
-def _weight_cut_loses_no_cover(k, m=None):
-    """Run the rooted phase two on every multiset that the weight filter
-    removes from the oracle stream, and find no rooted cover, hence no
-    cover (each cover has a translate that contains 0 mod the root);
-    returns how many multisets it removed."""
-    _, removed = _phase_one_matches_oracle(k, m)
+def _no_rooted_cover(removed):
+    """Run the rooted phase two on every multiset in removed and find no
+    rooted cover, hence no cover (each cover has a translate that contains
+    0 mod the root); returns how many multisets there were."""
     for moduli in removed:
         assert next(en._assign_offsets(moduli, lambda: None), None) is None, moduli
     return len(removed)
+
+
+def _weight_cut_loses_no_cover(k, m=None):
+    """No cover in any multiset that the weight filter removes from the
+    oracle stream; returns how many it removed."""
+    return _no_rooted_cover(_phase_one_matches_oracle(k, m)[1])
+
+
+def _multiplicity_filter_loses_no_cover(k, m=None):
+    """No cover in any multiset of the integer phase one that the
+    reference's multiplicity rule removes, so phase one need not apply
+    that rule; returns how many it removed."""
+    got = en._modulus_multisets(k, None, m)
+    return _no_rooted_cover([ms for ms in got if not _vanishing_sum_multiplicities_ok(ms)])
 
 
 class TestWeightCut:
@@ -633,6 +657,20 @@ class TestWeightCut:
     def test_sizes_10_11_and_13_14_gcd_one(self):
         for k, m in ((10, None), (11, None), (13, 1), (14, 1)):
             _weight_cut_loses_no_cover(k, m)
+
+
+class TestMultiplicityFilter:
+    def test_every_size_up_to_9_and_every_gcd(self):
+        removed = 0
+        for k in range(1, 10):
+            for m in (None, *range(1, k + 1)):
+                removed += _multiplicity_filter_loses_no_cover(k, m)
+        assert removed > 0
+
+    @slow
+    def test_sizes_10_11_and_13_14_gcd_one(self):
+        for k, m in ((10, None), (11, None), (13, 1), (14, 1)):
+            _multiplicity_filter_loses_no_cover(k, m)
 
 
 class TestHelpers:

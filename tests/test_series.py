@@ -143,6 +143,9 @@ class TestReversion:
             se.revert(se.IntSeries([0, 2, 1, 0]), 3)
         with pytest.raises(ValueError):
             se.revert(se.IntSeries([1, 1, 0, 0]), 3)
+        # the order is checked before the linear coefficient is read
+        with pytest.raises(ValueError, match="need order >= 1"):
+            se.revert(se.IntSeries([0]), 0)
 
     def test_revert_is_two_sided(self):
         m = se.mobius_series(24)
