@@ -10,15 +10,16 @@ The stream is one closure pair, shaped like trees.enumerate_trees:
 fresh(j, g) streams the systems of size j and gcd g, and listed(j, g),
 a per-stream functools.cache of fresh, holds the piece lists of sizes
 up to _MEMO_MAX_SIZE (9).  For each composition and gcd tuple, each
-held list is <idx, n>-expanded once, and the systems are the sorted
-unions of the itertools.product of those lists.  A larger piece list is
-never held: it is streamed afresh, piece by piece, for each combination
-of the pieces before it.
+held list is <idx, n>-expanded once, and the systems are the unions of
+the itertools.product of those lists.  A larger piece list is never
+held: it is streamed afresh, piece by piece, for each combination of the
+pieces before it.
 
 Shift classes (orbits under translation) are listed by filtering that
-stream for the systems that are their own least translate; translation
-preserves naturality and the gcd, so each class has exactly one such
-member, and the classes of one gcd need only that gcd's stream.  They
+stream for the systems that are their own least translate, tested on
+the sorted classes before a system is built; translation preserves
+naturality and the gcd, so each class has exactly one such member, and
+the classes of one gcd need only that gcd's stream.  They
 are counted without the stream: an orbit of period p has p members, so
 s(k, n) = sum_p V(k, n)[p] / p over the period vectors V that the count
 recurrence computes (counting.count_size_gcd_period, where the lemma
@@ -60,12 +61,17 @@ with 0 <= t < n - b(R) map one-to-one onto all covers by R + t, whose
 least offset of modulus n is t.  enumerate_ecs emits those translates,
 and count_ecs adds n - b(R) over the rooted covers.
 
-Internally systems travel as flat sorted tuples of (modulus, offset)
-pairs; CoveringSystem objects are built only at the public boundary, one
-per system, by one builder per stream (_to_systems).  The builder keeps
-a memo of ResidueClass for as long as its generator lives, so the
-systems of one stream share one validated class object per distinct
-(modulus, offset) pair; nothing is shared between streams.
+Inside a natural stream the pieces travel as unsorted tuples of the
+stream's own ResidueClass objects, which come from one memo of
+ResidueClass (make) per stream, so each distinct class is validated once
+per stream and equal classes of one stream are one object.  Expanding a
+piece by <idx, n> maps it through a per-stream dict for that (idx, n),
+which lifts each class once, through make (_Lift).  Each emitted system
+is built once, as the CoveringSystem of the union of its pieces, which
+sorts it and checks it for duplicates.  The exact-cover search emits
+flat sorted tuples of (modulus, offset) pairs, built into systems by one
+builder per stream with the same kind of memo (_to_systems).  Nothing is
+shared between streams.
 """
 
 from __future__ import annotations
@@ -77,6 +83,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import chain, product, starmap
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .congruence import CoveringSystem, ResidueClass, least_translate
@@ -85,6 +92,8 @@ from .series import prime_factors
 from .trees import _MEMO_MAX_SIZE, _compositions_colex, _streamed_product
 
 Flat = tuple[tuple[int, int], ...]  # sorted ((modulus, offset), ...)
+Piece = tuple[ResidueClass, ...]  # the classes of a system, in no set order
+_classes = attrgetter("classes")
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -92,20 +101,36 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 def _to_systems(flats: Iterable[Flat]) -> Iterator[CoveringSystem]:
-    """One CoveringSystem per flat tuple.  The classes come from a memo of
-    ResidueClass that lives as long as this generator, so each distinct
-    (modulus, offset) pair is validated once per stream (3,920 classes
-    fill the 657,570 class slots of the 65,757 systems of size 10), and
-    equal classes of one stream are one object; CoveringSystem still sorts
-    each system and checks it for duplicates."""
+    """One CoveringSystem per flat tuple of the exact-cover search.  The
+    classes come from a memo of ResidueClass that lives as long as this
+    generator, so each distinct (modulus, offset) pair is validated once
+    per stream and equal classes of one stream are one object;
+    CoveringSystem still sorts each system and checks it for duplicates."""
     make = cache(ResidueClass)
     for flat in flats:
         yield CoveringSystem(starmap(make, flat))
 
 
-def _expand(piece: Flat, idx: int, n: int) -> Flat:
-    """The <idx, n>-expansion of a piece, in (modulus, offset) pairs."""
-    return tuple((n * pn, idx + n * pa) for pn, pa in piece)
+class _Lift(dict):
+    """The <idx, n>-expansion of single classes, c -> <idx + n a, n m> for
+    c = <a, m>, made by the stream's class memo make and kept per class."""
+
+    __slots__ = ("make", "idx", "n")
+
+    def __init__(self, make, idx: int, n: int):
+        self.make, self.idx, self.n = make, idx, n
+
+    def __missing__(self, c: ResidueClass) -> ResidueClass:
+        m, a = c
+        self[c] = lifted = self.make(self.n * m, self.idx + self.n * a)
+        return lifted
+
+
+def _lifted(systems: Iterable[tuple[Piece, ...]], lift) -> Iterator[Piece]:
+    """Each system of a stream, given by its pieces, as one piece expanded
+    class by class through lift; pulled one system at a time."""
+    for pieces in systems:
+        yield tuple(map(lift, chain.from_iterable(pieces)))
 
 
 def _check_size_gcd(k: int, m: int | None) -> None:
@@ -115,19 +140,21 @@ def _check_size_gcd(k: int, m: int | None) -> None:
         raise ValueError("need 1 <= m <= k")
 
 
-def _necs_stream(k: int, m: int | None) -> Iterator[Flat]:
-    """The natural systems of size k and gcd m (every gcd if m is None), as
-    flat tuples: compositions, then coprime gcd tuples, then the pieces,
-    the first piece varying slowest."""
+def _necs_pieces(k: int, m: int | None) -> Iterator[tuple[Piece, ...]]:
+    """The natural systems of size k and gcd m (every gcd if m is None),
+    each as the tuple of its expanded pieces: compositions, then coprime
+    gcd tuples, then the pieces, the first piece varying slowest."""
     table = count_size_gcd(k)
     # gcd values with nonzero counts, per size
     support = {j: [g for g in range(1, j + 1) if table.get(j, g)] for j in range(1, k + 1)}
-    listed = cache(lambda j, g: tuple(fresh(j, g)))
+    make = cache(ResidueClass)
+    lift = cache(lambda idx, n: _Lift(make, idx, n).__getitem__)
+    listed = cache(lambda j, g: tuple(map(tuple, map(chain.from_iterable, fresh(j, g)))))
 
-    def fresh(j: int, g: int) -> Iterator[Flat]:
+    def fresh(j: int, g: int) -> Iterator[tuple[Piece, ...]]:
         if g == 1:
             if j == 1:
-                yield ((1, 0),)
+                yield ((make(1, 0),),)
             return
         # a system of gcd g is the assembly of its contraction by g: one
         # piece per residue mod g, whose gcds are coprime
@@ -136,16 +163,15 @@ def _necs_stream(k: int, m: int | None) -> Iterator[Flat]:
                 if gcd(*gcds) != 1:
                     continue
                 factors = [
-                    tuple(_expand(p, idx, g) for p in listed(i, h))
+                    [tuple(map(lift(idx, g), p)) for p in listed(i, h)]
                     if i <= _MEMO_MAX_SIZE
                     else partial(expanded, i, h, idx, g)
                     for idx, (i, h) in enumerate(zip(comp, gcds))
                 ]
-                for pieces in _streamed_product(factors):
-                    yield tuple(sorted(chain.from_iterable(pieces)))
+                yield from _streamed_product(factors)
 
-    def expanded(j: int, g: int, idx: int, n: int) -> Iterator[Flat]:
-        return (_expand(p, idx, n) for p in fresh(j, g))
+    def expanded(j: int, g: int, idx: int, n: int) -> Iterator[Piece]:
+        return _lifted(fresh(j, g), lift(idx, n))
 
     for g in range(1, k + 1) if m is None else (m,):
         yield from fresh(k, g)
@@ -157,24 +183,27 @@ def enumerate_necs(
     """Every natural exact covering system of size k (and gcd m, if given),
     exactly once.
 
-    With ordered=True (the default) the whole stream is materialized and
-    emitted in canonical lexicographic order; ordered=False streams in a
-    deterministic order (compositions, then gcd tuples, then the pieces,
-    the first piece varying slowest), holding only the piece lists of
-    sizes up to _MEMO_MAX_SIZE, whatever k is, and one class object per
-    distinct class emitted (see _to_systems).
+    With ordered=True (the default) the whole stream is built and emitted
+    in canonical lexicographic order (by CoveringSystem.classes);
+    ordered=False streams in a deterministic order (compositions, then gcd
+    tuples, then the pieces, the first piece varying slowest), holding only
+    the piece lists of sizes up to _MEMO_MAX_SIZE, whatever k is, one class
+    object per distinct class made, and per (idx, n) the lifts of the
+    classes expanded by it (see the module docstring).  Each system is
+    built once.
     """
     _check_size_gcd(k, m)
-    flats: Iterable[Flat] = _necs_stream(k, m)
-    if ordered:
-        flats = sorted(flats)
-    yield from _to_systems(flats)
+    systems = map(CoveringSystem, map(chain.from_iterable, _necs_pieces(k, m)))
+    yield from sorted(systems, key=_classes) if ordered else systems
 
 
-def _least_translates(k: int, m: int | None = None) -> Iterator[Flat]:
+def _least_translates(k: int, m: int | None = None) -> Iterator[CoveringSystem]:
     # translation preserves naturality and the gcd, so each shift class of
-    # gcd m has one member here
-    return (f for f in _necs_stream(k, m) if least_translate(f)[0] == f)
+    # gcd m has one member here; only that member is built
+    for pieces in _necs_pieces(k, m):
+        classes = tuple(sorted(chain.from_iterable(pieces)))
+        if least_translate(classes)[0] == classes:
+            yield CoveringSystem(classes)
 
 
 def shift_class_count(k: int, m: int | None = None) -> int:
@@ -192,7 +221,7 @@ def enumerate_shift_classes(k: int, m: int | None = None) -> Iterator[CoveringSy
     gcd m, if given, streaming only that gcd): the lexicographically least
     translate, emitted in canonical lexicographic order."""
     _check_size_gcd(k, m)
-    yield from _to_systems(sorted(_least_translates(k, m)))
+    yield from sorted(_least_translates(k, m), key=_classes)
 
 
 # --- general exact covering systems (backtracking search) --------------------
@@ -243,7 +272,7 @@ class EcsSearchConfig:
 
 
 def _modulus_multisets(
-    k: int, max_mod: int | None, want_gcd: int | None, tick=lambda: None
+    k: int, max_mod: int | None, want_gcd: int | None, tick=lambda: None, check=lambda: None
 ) -> Iterator[tuple[int, ...]]:
     """Nondecreasing modulus tuples (n_1 <= ... <= n_k) with sum 1/n_i = 1
     and gcd want_gcd (any gcd if None), each at most max_mod (if given) and
@@ -259,7 +288,8 @@ def _modulus_multisets(
     its classes form a vanishing sum, which needs at least two terms), and
     the residue strata mod each prime split evenly.  All arithmetic is on
     integers; tick() is called once per search node (a prefix of at least
-    one modulus).
+    one modulus), and check() every 1024 entries of the candidate table and
+    of its prime bitsets while they are built (532,306 entries at k = 80).
     """
     if k == 1:
         yield (1,)
@@ -273,9 +303,13 @@ def _modulus_multisets(
     # 2^(k-1) and its primes are at most k.
     factors: dict[int, tuple[int, ...]] = {1: ()}
     weight = {1: 0}
+    visited = 0
     for p in range(2, k + 1):
         if prime_factors(p) == [p]:
             for s, primes in list(factors.items()):
+                visited += 1
+                if visited % 1024 == 0:
+                    check()
                 primes += (p,)
                 w = weight[s] + p - 1
                 while w < k:
@@ -301,6 +335,8 @@ def _modulus_multisets(
     # would copy the int each time, quadratic in the number of values)
     digits: dict[int, bytearray] = {}
     for i, n in enumerate(values):
+        if i % 1024 == 1023:
+            check()
         for p in factors[n]:
             if p not in digits:
                 digits[p] = bytearray(b"0") * len(values)
@@ -623,7 +659,10 @@ class _Search:
         """Phase one within the config's bounds, with the deadline checked
         before each multiset."""
         k, cfg = self.k, self.cfg
-        for moduli in _modulus_multisets(k, cfg.max_modulus, cfg.gcd, self.ticker(0)):
+        multisets = _modulus_multisets(
+            k, cfg.max_modulus, cfg.gcd, self.ticker(0), self.check_deadline
+        )
+        for moduli in multisets:
             self.multisets += 1
             # one phase-2 node can cost more than a whole budget: its masks
             # are ints of lcm bits, and the lcm of a large multiset is huge

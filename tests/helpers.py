@@ -159,8 +159,8 @@ def shift_class_counts_stream(k):
     natural system of size k and count those that are their own least
     translate (translation preserves naturality, so one per class)."""
     counts = {}
-    for flat in en._least_translates(k):
-        m = gcd(*(n for n, _ in flat))
+    for s in en._least_translates(k):
+        m = gcd(*(n for n, _ in s.classes))
         counts[m] = counts.get(m, 0) + 1
     return counts
 

@@ -73,7 +73,7 @@ def test_04_power_sum_identity():
 
 def test_05_enumeration_counts_and_golden():
     for k in range(1, 11):
-        flats = list(en._necs_stream(k, None))
+        flats = [s.classes for s in en.enumerate_necs(k, ordered=False)]
         assert len(flats) == A_COUNTS[k]
         assert len(set(flats)) == len(flats)
     golden = resources.files("necs").joinpath("data").joinpath("table1.txt").read_text()

@@ -179,7 +179,8 @@ class TestSizeGcdPeriod:
         periods = ct.count_size_gcd_period(8)
         for k in range(1, 9):
             direct = {}
-            for flat in en._necs_stream(k, None):
+            for s in en.enumerate_necs(k, ordered=False):
+                flat = s.classes  # sorted, as least_period compares it
                 key = (gcd(*(n for n, _ in flat)), least_period(flat))
                 direct[key] = direct.get(key, 0) + 1
             got = {(m, p): c for (kk, m), vec in periods.items() if kk == k for p, c in vec.items()}

@@ -6,7 +6,7 @@ from collections import Counter
 from functools import cache
 from itertools import islice
 from math import gcd
-from types import SimpleNamespace
+from types import GeneratorType, SimpleNamespace
 
 import pytest
 
@@ -91,43 +91,45 @@ class TestAssemblyOracle:
 
     def test_streamed_piece_prefix_matches_recursive_assembly(self):
         # the first gcd-2 systems of size 11 put a streamed size-10 piece first
-        got = islice(en._necs_stream(11, 2), 3000)
-        assert list(got) == list(islice(necs_stream_recursive(11, 2), 3000))
+        got = [s.classes for s in islice(en.enumerate_necs(11, 2, ordered=False), 3000)]
+        assert got == list(islice(necs_stream_recursive(11, 2), 3000))
 
     def test_large_piece_lists_are_streamed(self, monkeypatch):
         pulled = []  # one entry per expanded piece from a list above the memo bound
-        expand = en._expand
+        lifted = en._lifted
 
-        def spy(piece, idx, n):
-            if len(piece) > en._MEMO_MAX_SIZE:
+        def spy(systems, lift):
+            # the pieces come from the generator itself, not from a held list
+            assert isinstance(systems, GeneratorType) and systems.gi_code.co_name == "fresh"
+            for piece in lifted(systems, lift):
                 pulled.append(len(piece))
-            return expand(piece, idx, n)
+                yield piece
 
-        monkeypatch.setattr(en, "_expand", spy)
-        for emitted, _ in enumerate(islice(en._necs_stream(11, 2), 2000), start=1):
+        monkeypatch.setattr(en, "_lifted", spy)
+        for emitted, _ in enumerate(islice(en.enumerate_necs(11, 2, ordered=False), 2000), start=1):
             # each size-10 piece yields at least one system before the next
             assert len(pulled) <= emitted
         assert pulled and set(pulled) == {10}
 
     @slow
     def test_full_streams_match_recursive_assembly(self):
-        got = list(en._necs_stream(10, None))
+        got = [s.classes for s in en.enumerate_necs(10, ordered=False)]
         assert len(got) == A_COUNTS[10]
         assert got == list(necs_stream_recursive(10))
-        got = list(en._necs_stream(11, 2))
+        got = [s.classes for s in en.enumerate_necs(11, 2, ordered=False)]
         assert len(got) == ct.count_size_gcd(11).get(11, 2)
         assert got == list(necs_stream_recursive(11, 2))
 
 
 class TestBuilderOracle:
-    """The per-stream builder, which validates each distinct class once per
-    stream, against building every class afresh: equal systems in equal
-    order, and no check skipped."""
+    """The per-stream builders, which validate each distinct class once per
+    stream, against building every class afresh from the reference
+    streams: equal systems in equal order, and no check skipped."""
 
     def test_natural_streams(self):
         for k in range(1, 10):
             for m in (None, *range(1, k + 1)):
-                flats = list(en._necs_stream(k, m))
+                flats = list(necs_stream_recursive(k, m))
                 want = [system_of_flat(f) for f in flats]
                 assert list(en.enumerate_necs(k, m, ordered=False)) == want, (k, m)
                 want = [system_of_flat(f) for f in sorted(flats)]
@@ -136,7 +138,8 @@ class TestBuilderOracle:
     def test_shift_class_streams(self):
         for k in range(1, 10):
             for m in (None, *range(1, k + 1)) if k < 9 else (None,):
-                want = [system_of_flat(f) for f in sorted(en._least_translates(k, m))]
+                least = (f for f in necs_stream_recursive(k, m) if cg.least_translate(f)[0] == f)
+                want = [system_of_flat(f) for f in sorted(least)]
                 assert list(en.enumerate_shift_classes(k, m)) == want, (k, m)
 
     def test_exact_cover_streams(self):
@@ -153,6 +156,8 @@ class TestBuilderOracle:
         streams = (
             en.enumerate_necs(8),
             en.enumerate_necs(9, 2, ordered=False),
+            # lifts size-10 pieces that are streamed, not held in the memo
+            islice(en.enumerate_necs(11, 2, ordered=False), 3000),
             en.enumerate_shift_classes(8),
             en.enumerate_ecs(7, ordered=False),
         )
@@ -256,10 +261,11 @@ def _deadline_checks(k, listing, until):
     """Dry run of the deadline checks of a size-k exact-cover search, in
     order, up to the first check made by until: at each check, what made
     it and the counters of the abort message (phase-two nodes, solutions,
-    phase-one nodes, multisets).  The search checks before each multiset
-    and at every 1024th node of either phase; a listing also checks at
-    every 1024th emitted cover, and a count adds a multiset's covers once
-    it has finished it."""
+    phase-one nodes, multisets).  The search checks every 1024 entries of
+    phase one's candidate table and bitsets, before each multiset and at
+    every 1024th node of either phase; a listing also checks at every
+    1024th emitted cover, and a count adds a multiset's covers once it has
+    finished it."""
     nodes = [0, 0]
     run = {"found": 0, "multisets": 0}
     checks = []
@@ -275,7 +281,10 @@ def _deadline_checks(k, listing, until):
 
         return tick
 
-    for moduli in en._modulus_multisets(k, 1 << (k - 1), None, ticker(0, "phase-one node")):
+    candidates = en._modulus_multisets(
+        k, 1 << (k - 1), None, ticker(0, "phase-one node"), lambda: check("table entry")
+    )
+    for moduli in candidates:
         run["multisets"] += 1
         check("multiset")
         covers = 0
@@ -371,6 +380,17 @@ class TestEcsSearch:
                 next(en.enumerate_ecs(k, cfg, ordered=False))
             assert time.monotonic() - start < limit, k
             assert "after 0 nodes and 0 solutions" in str(info.value)
+
+    def test_budget_zero_stops_while_the_candidates_are_built(self):
+        # the candidate table of k = 80 has 532,306 entries; the deadline is
+        # checked every 1024 of them, before phase one has visited a node
+        start = time.monotonic()
+        with pytest.raises(en.SearchBudgetExceeded) as info:
+            en.count_ecs(80, en.EcsSearchConfig(budget_seconds=0))
+        assert time.monotonic() - start < 2
+        assert str(info.value).endswith(
+            "after 0 nodes and 0 solutions (phase one: 0 nodes and 0 multisets)"
+        )
 
     def test_phase_two_checks_every_1024_nodes(self, monkeypatch):
         # a dry run finds the check at phase-two node 1024 of the k = 10
