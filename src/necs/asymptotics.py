@@ -17,12 +17,14 @@ derivatives are evaluated by one routine indexed by the derivative order
 d: the coefficient of x^(k-d) in M^(d) is k(k-1)...(k-d+1) mu(k), and
 since |mu(k)| <= 1 the truncation tail after n terms is bounded by the
 same tail of the d-th derivative of the geometric series, summed exactly
-in closed form (|x| <= 0.71).  Roots (tau and beta of M', alpha of M)
-are found from an exact rational bracket holding one sign change: it is
-bisected on the sign of the certified evaluator down to one ulp at scale
-12, Newton refines that mantissa while the scale doubles, and a sign
-change over a bracket around the result certifies it.  No floating-point
-value enters a root or a constant.
+in closed form (|x| <= 0.71) as one integer numerator over one integer
+denominator, so a tail costs a few integer powers and one gcd.  Roots
+(tau and beta of M', alpha of M) are found from an exact rational
+bracket holding one sign change: it is bisected on the sign of the
+certified evaluator down to one ulp at scale 12, Newton refines that
+mantissa while the scale doubles, and a sign change over a bracket
+around the result certifies it.  No floating-point value enters a root
+or a constant.
 
 The refinement by gcd uses the same constants: the number of systems of
 size k and gcd m grows like m tau^(m-1) M'(tau^m) c gamma^k k^(-3/2),
@@ -212,13 +214,25 @@ def _mu(upto: int) -> list[int]:
 
 def _tail(d: int, n: int, r: Fraction) -> Fraction:
     """Exact tail sum_{k>n} k(k-1)...(k-d+1) r^(k-d) of the d-th derivative
-    of the geometric series: with N = n + 1, by Leibniz on r^N / (1-r),
-    d! sum_{j=0..d} C(N, d-j) r^(N-d+j) / (1-r)^(j+1)."""
+    of the geometric series, for 0 <= r < 1: with N = n + 1, by Leibniz on
+    r^N / (1-r), d! sum_{j=0..d} C(N, d-j) r^(N-d+j) / (1-r)^(j+1).
+
+    Summed in integers over one common denominator: with r = p/q and
+    t = q - p, the tail is
+
+        d! sum_j C(N, d-j) p^(N-d+j) t^(d-j) / (q^(N-d-1) t^(d+1)),
+
+    j from max(0, d - N), where C(N, d-j) stops vanishing, and the power
+    of q moves to the numerator when N - d - 1 < 0."""
     big_n = n + 1
-    return factorial(d) * sum(
-        comb(big_n, d - j) * r ** (big_n - d + j) / (1 - r) ** (j + 1)
-        for j in range(max(0, d - big_n), d + 1)
+    p, q = r.numerator, r.denominator
+    t = q - p
+    j0 = max(0, d - big_n)
+    num = factorial(d) * p ** (big_n - d + j0) * sum(
+        comb(big_n, d - j) * p ** (j - j0) * t ** (d - j) for j in range(j0, d + 1)
     )
+    e = big_n - d - 1
+    return Fraction(num * q ** max(0, -e), q ** max(0, e) * t ** (d + 1))
 
 
 def _coerce(x, scale: int) -> FixedReal:

@@ -4,7 +4,7 @@ import os
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product, starmap
-from math import gcd, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -772,6 +772,17 @@ def gaps_decrease(report, k_from, k_to):
     over k_from <= k <= k_to?"""
     gaps = [row.gap for row in report.rows if k_from <= row.k <= k_to]
     return all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def tail_leibniz(d, n, r):
+    """Reference for asymptotics._tail: the tail sum_{k>n} k(k-1)...(k-d+1)
+    r^(k-d) in Fraction arithmetic, term by term from Leibniz on
+    r^N / (1-r) with N = n + 1: d! sum_j C(N, d-j) r^(N-d+j) / (1-r)^(j+1)."""
+    big_n = n + 1
+    return factorial(d) * sum(
+        comb(big_n, d - j) * r ** (big_n - d + j) / (1 - r) ** (j + 1)
+        for j in range(max(0, d - big_n), d + 1)
+    )
 
 
 def pick_terms_linear(d, r_up, target):

@@ -9,7 +9,7 @@ import pytest
 from necs import asymptotics as asym
 from necs import cli
 
-from helpers import gaps_decrease, identity_checks_exact, pick_terms_linear, slow
+from helpers import gaps_decrease, identity_checks_exact, pick_terms_linear, slow, tail_leibniz
 
 # decimal expansions as printed to their full stated precision
 TAU_DIGITS = "0.32299391330283353998122564696308569320205174841752276244233373344634953499"
@@ -114,6 +114,13 @@ class TestSeriesEvaluation:
             for n in range(d, d + 12):
                 drop = asym._tail(d, n, r) - asym._tail(d, n + 1, r)
                 assert drop == perm(n + 1, d) * r ** (n + 1 - d)
+
+    def test_integer_tail_matches_leibniz_fractions(self):
+        radii = (Fraction(0), Fraction(1, 10**4), Fraction(3, 10), Fraction(1, 2), Fraction(71, 100))
+        for r in radii:
+            for d in range(5):
+                for n in range(61):  # n < d included
+                    assert asym._tail(d, n, r) == tail_leibniz(d, n, r), (d, n, r)
 
     def test_pick_terms_matches_linear_scan(self, monkeypatch, capsys):
         # every (d, radius, target) that one asympt command asks for

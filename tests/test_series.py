@@ -1,6 +1,7 @@
 """Exact series algebra: Mobius sieve, reversion, and the named series."""
 
 import random
+from fractions import Fraction
 from math import prod
 
 import pytest
@@ -119,12 +120,57 @@ class TestAlgebra:
         s = se.IntSeries([5, 1, 3, 2])
         assert se.derivative(s).coeffs == (1, 6, 6)
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, Fraction(1, 2)])
+    def test_non_integer_coefficients_refused(self, bad):
+        # int() would truncate 1.9 to 1 without a word
+        with pytest.raises(TypeError, match="must be integers"):
+            se.IntSeries([0, bad, 2])
+
     def test_truncation_is_explicit(self):
         s = se.x_series(3)
         with pytest.raises(ValueError):
             se.mul(s, s, 5)
         with pytest.raises(IndexError):
             s[4]
+
+
+# a tail coefficient is a unit or zero (the signed sums) or has |g_i| >= 2
+# (the products), so both branches of _divide run
+DIVISOR_COEFF = st.one_of(st.sampled_from([-1, 0, 1]), st.integers(2, 30), st.integers(-30, -2))
+
+
+def phi_recurrence(n):
+    """phi = 1/G with G = M(x)/x, coefficient by coefficient: c_0 = 1 and
+    c_k = -sum_{j=1..k} mu(j + 1) c_(k-j)."""
+    mu = se.mobius_upto(n + 1)
+    c = [1]
+    for k in range(1, n + 1):
+        c.append(-sum(mu[j + 1] * c[k - j] for j in range(1, k + 1)))
+    return c
+
+
+class TestDivision:
+    @given(
+        st.sampled_from([1, -1]),
+        st.lists(DIVISOR_COEFF, max_size=30),
+        st.lists(st.integers(-10**6, 10**6), min_size=31, max_size=31),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_quotient_times_divisor_is_dividend(self, g0, tail, f):
+        g = [g0] + tail
+        n = len(g) - 1
+        f = se.IntSeries(f[: n + 1])
+        q = se.IntSeries(se._divide(f.coeffs, g, n))
+        assert se.mul(q, se.IntSeries(g), n) == f
+
+    def test_refuses_non_unit_constant_term(self):
+        with pytest.raises(ValueError):
+            se._divide([1, 0, 0], [2, 1, 0], 2)
+
+    def test_phi_against_recurrence_to_200(self):
+        ref = phi_recurrence(200)
+        for n in range(201):
+            assert list(se.phi_series(n).coeffs) == ref[: n + 1], n
 
 
 class TestReversion:
