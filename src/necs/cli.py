@@ -78,19 +78,24 @@ def _emit_count(args) -> int:
         table = ct.count_size_gcd_lcm(args.max_size, args.lcm_max)
     else:
         table = ct.count_size_gcd(args.max_size, cache_path=_default_cache(args))
-    if args.format == "csv":
-        print("k,m,l,count" if args.lcm else "k,m,count")
+    out = ["k,m,l,count\n" if args.lcm else "k,m,count\n"] if args.format == "csv" else []
     for *key, v in table.rows():
         if args.lcm and key[2] == ct.OVERFLOW:
             key[2] = "overflow"
         label = ",".join(map(str, key))
-        print(f"{label},{v}" if args.format == "csv" else f"a({label}) = {v}")
+        out.append(f"{label},{v}\n" if args.format == "csv" else f"a({label}) = {v}\n")
+    sys.stdout.write("".join(out))
     if args.lcm and table.overflowed:
         print("# some counts exceeded --lcm-max and were bucketed", file=sys.stderr)
     return 0
 
 
 def _emit_enumerate(args) -> int:
+    """List or count the systems of one size.  A listing writes each system
+    as the ordered stream hands it over, formatting each distinct class once
+    through a memo that lives as long as the listing.  An ordered stream is
+    materialised before its first system, so an error or a budget abort
+    leaves stdout empty."""
     if args.gcd is not None and not 1 <= args.gcd <= args.size:
         raise ValueError(f"--gcd must be between 1 and --size ({args.size}), got {args.gcd}")
     if args.ecs and args.canonical == "shift":
@@ -110,18 +115,21 @@ def _emit_enumerate(args) -> int:
         systems = en.enumerate_shift_classes(args.size, args.gcd)
     else:
         systems = en.enumerate_necs(args.size, args.gcd, ordered=not count_only)
+    write = sys.stdout.write
     try:
         if count_only:
             print(en.count_ecs(args.size, cfg) if args.ecs else sum(1 for _ in systems))
         elif args.format == "json":
-            print(json.dumps([cg.json_pairs(s) for s in systems]))
-        else:
-            first = True
+            fmt, sep = functools.cache(cg.class_json), "["
             for s in systems:
-                if not first:
-                    print()
-                sys.stdout.write(cg.format_system_text(s))
-                first = False
+                write(sep + "[" + ", ".join(map(fmt, s.classes)) + "]")
+                sep = ", "
+            write("[]\n" if sep == "[" else "]\n")
+        else:
+            fmt, sep = functools.cache(cg.class_text), ""
+            for s in systems:
+                write(sep + "".join(map(fmt, s.classes)))
+                sep = "\n"
     except en.SearchBudgetExceeded as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return 5
@@ -249,16 +257,12 @@ def _emit_poly(args) -> int:
         body = " + ".join(f"{c}*C(x,{k})" for k, c in enumerate(bp.coeffs, start=1))
         print(f"f_{args.n}(x) = {body}")
     if args.check_diffs:
-        ok = True
-        for l in range(1, args.check_diffs + 1):
-            for m in range(l, args.n + 1):
-                got = pb.backward_difference_check(l, m)
-                want = 3**l
-                if got != want:
-                    ok = False
-                    print(f"difference l={l}, m={m}: {got} != {want}", file=sys.stderr)
-        print("backward differences: " + ("all equal 3^l" if ok else "MISMATCH"))
-        return 0 if ok else 1
+        diffs = pb.backward_differences(args.check_diffs, args.n)
+        bad = [(l, m, got) for (l, m), got in diffs.items() if l and got != 3**l]
+        for l, m, got in bad:
+            print(f"difference l={l}, m={m}: {got} != {3**l}", file=sys.stderr)
+        print("backward differences: " + ("MISMATCH" if bad else "all equal 3^l"))
+        return 1 if bad else 0
     return 0
 
 
@@ -274,8 +278,7 @@ def _emit_trees(args) -> int:
     if args.format == "count-only":
         print(sum(1 for _ in tr.enumerate_trees(args.leaves)))
     else:
-        for t in tr.enumerate_trees(args.leaves):
-            print(tr.format_tree(t))
+        sys.stdout.writelines(tr.format_tree(t) + "\n" for t in tr.enumerate_trees(args.leaves))
     return 0
 
 

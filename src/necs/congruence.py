@@ -423,7 +423,8 @@ def canonical_shift(c: CoveringSystem) -> tuple[CoveringSystem, int]:
 #
 # Text: one class per line, "a mod n" with 0 <= a < n; '#' comments and
 # blank lines ignored.  JSON: array of [a, n] pairs.  Emission is always
-# in canonical order.
+# in canonical order, one class at a time: class_text and class_json are
+# the only formatters of a class, and a system's text is theirs joined.
 
 
 def parse_system_text(text: str) -> CoveringSystem:
@@ -449,8 +450,14 @@ def parse_system_text(text: str) -> CoveringSystem:
     return CoveringSystem(classes)
 
 
+def class_text(c: ResidueClass) -> str:
+    """The text line of one class: "a mod n" and a newline."""
+    n, a = c
+    return f"{a} mod {n}\n"
+
+
 def format_system_text(c: CoveringSystem) -> str:
-    return "\n".join(f"{a} mod {n}" for n, a in c.classes) + "\n"
+    return "".join(map(class_text, c.classes))
 
 
 def _clipped_repr(item, limit: int = 60) -> str:
@@ -479,10 +486,11 @@ def parse_system_json(text: str) -> CoveringSystem:
     return CoveringSystem(classes)
 
 
-def json_pairs(c: CoveringSystem) -> list[list[int]]:
-    """The [offset, modulus] pairs that the JSON format lists for a system."""
-    return [[a, n] for n, a in c.classes]
+def class_json(c: ResidueClass) -> str:
+    """The JSON pair of one class, "[a, n]", as json.dumps writes it."""
+    n, a = c
+    return f"[{a}, {n}]"
 
 
 def format_system_json(c: CoveringSystem) -> str:
-    return json.dumps(json_pairs(c))
+    return "[" + ", ".join(map(class_json, c.classes)) + "]"

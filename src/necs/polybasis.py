@@ -72,23 +72,28 @@ def evaluate_f(n: int, g: int) -> int:
     return binomial_coeffs(n)(g)
 
 
+def backward_differences(L: int, n: int) -> dict[tuple[int, int], int]:
+    """The l-th backward differences along the diagonals c(m+l, m),
+
+        sum_{j=0..l} C(l,j) (-1)^j c(m+l-j, m-j),
+
+    keyed (l, m) for 0 <= l <= L and l <= m <= n.  Each equals 3^l for
+    l >= 1 (and c(m, m) = 1 at l = 0).  Every term is c(k+l, k) =
+    [x^(k+l)] (A(x)/x - 1)^k for one k <= n, so one reversion and one run
+    of powers of that series, truncated at order n+L, give them all."""
+    if L < 0 or n < L:
+        raise ValueError(f"need n >= L >= 0, got L={L}, n={n}")
+    base = _shifted_remainder(n + L)
+    powers = [IntSeries([1] + [0] * (n + L))]  # powers[k] = (A(x)/x - 1)^k
+    for _ in range(n):
+        powers.append(mul(powers[-1], base, n + L))
+    return {
+        (l, m): sum(comb(l, j) * (-1) ** j * powers[m - j][m - j + l] for j in range(l + 1))
+        for l in range(L + 1)
+        for m in range(l, n + 1)
+    }
+
+
 def backward_difference_check(l: int, m: int) -> int:
-    """The l-th backward difference along the diagonal c(m+l, m):
-
-        sum_{j=0..l} C(l,j) (-1)^j c(m+l-j, m-j)
-
-    which equals 3^l for l >= 1, m >= l (and c(m, m) = 1 at l = 0).
-    Every term is c(k+l, k) = [x^(k+l)] (A(x)/x - 1)^k for one k <= m, so
-    one run of powers of that series, truncated at order m+l, gives all."""
-    if l < 0 or m < l:
-        raise ValueError("need m >= l >= 0")
-    base = _shifted_remainder(m + l)
-    power = IntSeries([1] + [0] * (m + l))  # the 0th power; c(l, 0) = [l = 0]
-    total = 0
-    for k in range(m + 1):
-        j = m - k
-        if j <= l:
-            total += comb(l, j) * (-1) ** j * power[k + l]
-        if k < m:
-            power = mul(power, base, m + l)
-    return total
+    """backward_differences(l, m)[l, m], which is 3^l for m >= l >= 1."""
+    return backward_differences(l, m)[l, m]

@@ -10,9 +10,9 @@ enumerate_trees lists them with a memo: the trees with fewer than
 _MEMO_MAX_SIZE (9) leaves are built once per call and shared as
 subtrees; larger child lists are streamed afresh, never held.  Each
 memo tree also stores its text, formatted once when its list is built,
-so format_tree copies the text of a shared subtree in place of walking
-it; the texts live as long as the trees that hold them.  Trees built
-any other way (parse_tree, callers) store nothing.
+so format_tree writes a shared subtree's text in place, with no walk
+and no stack step; the texts live as long as the trees that hold them.
+Trees built any other way (parse_tree, callers) store nothing.
 
 Serialization is nested parentheses with explicit up-degrees: a leaf is
 "()" and an internal vertex with children c1..cr is "(r c1 ... cr)".
@@ -212,22 +212,23 @@ def enumerate_trees(k: int) -> Iterator[Tree]:
 def format_tree(t: Tree) -> str:
     """The parenthesized format; iterative, so any depth formats.  A
     subtree that stores its text (see enumerate_trees) is copied, not
-    walked."""
-    out = []
-    todo: list = [t]  # subtrees not yet visited, and closing text
+    walked, and so is a leaf's "()": each is written in place as the walk
+    meets it, and only a child to be walked opens a level of the stack."""
+    if t.text is not None or t.is_leaf():
+        return t.text or "()"
+    out = [f"({t.up_degree}"]
+    todo = [iter(t.children)]  # the children not yet written, per open vertex
     while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item.text is not None:
-            out.append(item.text)
-        elif item.is_leaf():
-            out.append("()")
+        for child in todo[-1]:
+            text = child.text
+            if text is None and child.children:
+                out.append(f" ({child.up_degree}")
+                todo.append(iter(child.children))
+                break
+            out.append(" ()" if text is None else " " + text)
         else:
-            out.append(f"({item.up_degree}")
-            todo.append(")")
-            for child in reversed(item.children):
-                todo.extend((child, " "))
+            todo.pop()
+            out.append(")")
     return "".join(out)
 
 

@@ -100,6 +100,12 @@ def sys_of(pairs) -> cg.CoveringSystem:
     return cg.system(*pairs)
 
 
+def json_pairs(c: cg.CoveringSystem) -> list[list[int]]:
+    """The [offset, modulus] pairs that the JSON format lists for a system,
+    for one json.dumps of a whole listing: the listing writer's reference."""
+    return [[a, n] for n, a in c.classes]
+
+
 def brute_force_exact(pairs, window=None) -> bool:
     """Independent exactness oracle: check each integer in one full period
     is covered exactly once."""

@@ -19,12 +19,14 @@ from necs import asymptotics as asym
 from necs import cli
 from necs import congruence as cg
 from necs import counting as ct
+from necs import enumeration as en
 
 from helpers import (
     ERDOS_COVER,
     HUGE_MODULUS_NOT_EXACT,
     NON_NATURAL_13,
     SHIFT_CLASS_COUNTS,
+    json_pairs,
     shift_class_counts_stream,
     slow,
     sys_of,
@@ -37,6 +39,20 @@ def run_cli(capsys, *argv):
     code = cli.run(list(argv))
     out = capsys.readouterr()
     return code, out.out
+
+
+def _listings():
+    """The `enumerate` arguments of a listing, and the library stream that it
+    writes; the gcd-1 natural listings past size 1 are empty."""
+    for k in range(1, 10):
+        yield [str(k)], lambda k=k: en.enumerate_necs(k)
+    for k in range(1, 9):
+        for m in range(1, k + 1):
+            yield [str(k), "--gcd", str(m)], lambda k=k, m=m: en.enumerate_necs(k, m)
+        yield [str(k), "--canonical", "shift"], lambda k=k: en.enumerate_shift_classes(k)
+    for k in range(1, 8):
+        yield [str(k), "--ecs"], lambda k=k: en.enumerate_ecs(k)
+    yield ["13", "--gcd", "1", "--ecs"], lambda: en.enumerate_ecs(13, en.EcsSearchConfig(gcd=1))
 
 
 class TestSeriesCommand:
@@ -66,7 +82,14 @@ class TestCountCommand:
     def test_csv_table(self, capsys):
         code, out = run_cli(capsys, "count", "--max-size", "3")
         assert code == 0
-        assert out.splitlines() == ["k,m,count", "1,1,1", "2,1,0", "2,2,1", "3,1,0", "3,2,2", "3,3,1"]
+        assert out == "k,m,count\n1,1,1\n2,1,0\n2,2,1\n3,1,0\n3,2,2\n3,3,1\n"
+
+    def test_lcm_overflow_lines(self, capsys):
+        code = cli.run(["count", "--max-size", "3", "--lcm", "--lcm-max", "2", "--format", "lines"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "a(1,1,1) = 1\na(2,2,2) = 1\na(3,2,overflow) = 2\na(3,3,overflow) = 1\n"
+        assert captured.err == "# some counts exceeded --lcm-max and were bucketed\n"
 
     def test_lcm_table(self, capsys):
         code, out = run_cli(capsys, "count", "--max-size", "3", "--lcm")
@@ -185,6 +208,31 @@ class TestEnumerateCommand:
         assert code == 5
         assert captured.out == ""
         assert captured.err.startswith("search aborted: ")
+
+    @pytest.mark.parametrize(
+        "args, stream", [pytest.param(*x, id=" ".join(x[0])) for x in _listings()]
+    )
+    def test_listing_writer(self, capsys, args, stream):
+        """The streamed listing against one json.dumps of the whole list and
+        the blank-line join of the systems' texts."""
+        systems = list(stream())
+        code, out = run_cli(capsys, "enumerate", "--size", *args, "--format", "json")
+        assert (code, out) == (0, json.dumps([json_pairs(s) for s in systems]) + "\n")
+        code, out = run_cli(capsys, "enumerate", "--size", *args, "--format", "lines")
+        assert (code, out) == (0, "\n".join(map(cg.format_system_text, systems)))
+
+    def test_empty_listing(self, capsys):
+        empty = ["enumerate", "--size", "5", "--gcd", "1", "--format"]
+        assert run_cli(capsys, *empty, "json") == (0, "[]\n")
+        assert run_cli(capsys, *empty, "lines") == (0, "")
+
+    @pytest.mark.parametrize("extra", [[], ["--ecs"], ["--canonical", "shift"]])
+    def test_bad_size_prints_nothing(self, capsys, extra):
+        code = cli.run(["enumerate", "--size", "0", *extra, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("enumerate: ")
 
     def test_ecs_max_modulus_bounds_size_two(self, capsys):
         for fmt in ("lines", "json", "count-only"):
@@ -484,6 +532,18 @@ class TestPolyAndTrees:
         code, out = run_cli(capsys, "poly", "--n", "5", "--check-diffs", "3")
         assert code == 0
         assert "all equal 3^l" in out
+
+    def test_poly_diff_mismatch(self, capsys, monkeypatch):
+        from necs import polybasis as pb
+
+        real = pb.backward_differences
+        bad = {(1, 2): 4, (2, 4): 0, (0, 3): 7}  # l = 0 is not checked
+        monkeypatch.setattr(pb, "backward_differences", lambda L, n: {**real(L, n), **bad})
+        code = cli.run(["poly", "--n", "4", "--check-diffs", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.endswith("\nbackward differences: MISMATCH\n")
+        assert captured.err == "difference l=1, m=2: 4 != 3\ndifference l=2, m=4: 0 != 9\n"
 
     def test_trees_count(self, capsys):
         code, out = run_cli(capsys, "trees", "--leaves", "6", "--format", "count-only")

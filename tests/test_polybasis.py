@@ -89,6 +89,13 @@ class TestBackwardDifferences:
             for m in range(l, 17):
                 assert pb.backward_difference_check(l, m) == 3**l, (l, m)
 
+    def test_one_table_serves_every_pair(self):
+        diffs = pb.backward_differences(5, 16)
+        assert list(diffs) == [(l, m) for l in range(6) for m in range(l, 17)]
+        assert all(v == 3**l for (l, m), v in diffs.items())
+
     def test_validation(self):
         with pytest.raises(ValueError):
             pb.backward_difference_check(3, 2)
+        with pytest.raises(ValueError):
+            pb.backward_differences(-1, 4)

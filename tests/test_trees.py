@@ -68,6 +68,7 @@ class TestBasics:
             t = tr.parse_tree(text)
         except ValueError:
             return
+        assert tr.format_tree(t) == format_tree_walk(t)
         assert tr.parse_tree(tr.format_tree(t)) == t
 
     def test_deep_chain_is_iterative(self):
@@ -280,3 +281,19 @@ class TestFormatOracle:
         parsed = tr.parse_tree(text)
         assert parsed == chain and hash(parsed) == hash(chain)
         assert tr.leaf_count(chain) == 5008
+
+    def test_memo_subtrees_among_walked_subtrees(self):
+        memo = next(tr.enumerate_trees(9)).children[0]
+        walked = [tr.parse_tree(FIGURE_TREE), tr.Tree((tr.LEAF, tr.LEAF))]
+        for i in range(3):  # the memo subtree first, in the middle, last
+            t = tr.Tree(tuple(walked[:i] + [memo] + walked[i:]))
+            for tree in (t, tr.Tree((t, memo, tr.LEAF)), tr.Tree((tr.LEAF, t, walked[0]))):
+                assert tr.format_tree(tree) == format_tree_walk(tree)
+
+    def test_deep_chains_beside_a_memo_subtree(self):
+        memo = next(tr.enumerate_trees(9)).children[0]
+        chain = tr.LEAF
+        for _ in range(5000):
+            chain = tr.Tree((chain, tr.LEAF))
+        for t in (tr.Tree((chain, memo)), tr.Tree((memo, chain)), tr.Tree((chain, memo, chain))):
+            assert tr.format_tree(t) == format_tree_walk(t)
